@@ -35,9 +35,11 @@ from .kernel import (
     discrete,
     identity_functor,
     is_bijective_on_objects,
+    memo_by_key,
     same_cat,
     same_functor,
     tag,
+    validate_category,
     validate_functor,
 )
 from .factorization import CommutingSquare, is_initial, orthogonal_lift
@@ -50,21 +52,12 @@ from .lens import (
 from .semimonad import (
     JPresentation,
     JrAlgebra,
-    _composable_pairs,
-    _raw_j_square,
     j_object,
     j_square,
     jr_from_lens,
     lens_from_jr,
-    validate_generated_category,
     validate_jr_algebra,
-    _ASSOC_BUDGET,
 )
-
-_E_CACHE: dict[tuple, "EfPresentation"] = {}
-_MU_CACHE: dict[tuple, FinFunctor] = {}
-_COMONAD_CACHE: dict[tuple, "ComonadData"] = {}
-_COASSOC_OK: set[tuple] = set()
 
 
 # -- morphism normal forms ---------------------------------------------------
@@ -210,11 +203,9 @@ def retraction_pairs(f: FinFunctor, a: str) -> list[tuple[str, str]]:
     ]
 
 
+@memo_by_key
 def e_object(f: FinFunctor) -> EfPresentation:
     """Build (and cache) the glued factorisation of f."""
-    cached = _E_CACHE.get(f.key)
-    if cached is not None:
-        return cached
     A, B = f.dom, f.cod
     jp = j_object(f)
     kinds: dict[str, EfMorphism] = {}
@@ -272,13 +263,12 @@ def e_object(f: FinFunctor) -> EfPresentation:
     alpha = FinFunctor(jp.j, e, {x: x for x in jp.j.objects}, {m: m for m in jp.j.morphisms})
     pres = EfPresentation(f, jp, e, lf, rf, alpha, kinds, jp.obj_pairs)
     _verify_e(pres)
-    _E_CACHE[f.key] = pres
     return pres
 
 
 def _verify_e(pres: EfPresentation) -> None:
     f = pres.functor
-    if not validate_generated_category(pres.e).ok:
+    if not validate_category(pres.e).ok:
         raise InternalInvariantError("glued category tables are inconsistent")
     if not validate_functor(pres.lf).ok:
         raise InternalInvariantError("domain inclusion is not a functor")
@@ -321,7 +311,8 @@ def e_square(sq: CommutingSquare) -> FinFunctor:
             img = EfId(h_obj[kind.a], k_mor[kind.u])
         mor_map[m] = ef_mor_id(g, img)
     out = FinFunctor(ef.e, eg.e, obj_map, mor_map)
-    _verify_functor_budgeted(out, "factorisation image of a square")
+    if not validate_functor(out).ok:
+        raise InternalInvariantError("factorisation image of a square is not a functor")
     if not same_functor(compose_functors(out, ef.lf), compose_functors(eg.lf, sq.top)):
         raise InternalInvariantError("square image does not respect domain inclusions")
     if not same_functor(compose_functors(out, ef.alpha), compose_functors(eg.alpha, j_square(sq))):
@@ -329,23 +320,6 @@ def e_square(sq: CommutingSquare) -> FinFunctor:
     if not same_functor(compose_functors(eg.rf, out), compose_functors(sq.bottom, ef.rf)):
         raise InternalInvariantError("square image does not commute over the base")
     return out
-
-
-def _verify_functor_budgeted(fun: FinFunctor, what: str) -> None:
-    """Full functor validation, skipping the composition sweep on very
-    large domains where the equality laws carry the weight instead."""
-    if _composable_pairs(fun.dom) <= _ASSOC_BUDGET:
-        if not validate_functor(fun).ok:
-            raise InternalInvariantError(f"{what} is not a functor")
-        return
-    dom, cod = fun.dom, fun.cod
-    for m in dom.morphisms:
-        fm = fun.mor_map[m]
-        if cod.src[fm] != fun.obj_map[dom.src[m]] or cod.tgt[fm] != fun.obj_map[dom.tgt[m]]:
-            raise InternalInvariantError(f"{what} is not a functor")
-    for x in dom.objects:
-        if fun.mor_map[dom.identity[x]] != cod.identity[fun.obj_map[x]]:
-            raise InternalInvariantError(f"{what} is not a functor")
 
 
 def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunctor:
@@ -375,7 +349,8 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
         else:
             mor_map[m] = on_j.mor_map[m]
     out = FinFunctor(pres.e, X, obj_map, mor_map)
-    _verify_functor_budgeted(out, "copairing")
+    if not validate_functor(out).ok:
+        raise InternalInvariantError("copairing is not a functor")
     if not same_functor(compose_functors(out, pres.alpha), on_j):
         raise InternalInvariantError("copairing does not restrict to the coslice leg")
     if not same_functor(compose_functors(out, pres.lf), on_a):
@@ -386,11 +361,9 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
 # -- the monad ----------------------------------------------------------------
 
 
+@memo_by_key
 def mu(f: FinFunctor) -> FinFunctor:
     """Collapse one tower level: E(rf of f) -> Ef."""
-    cached = _MU_CACHE.get(f.key)
-    if cached is not None:
-        return cached
     ef = e_object(f)
     upper = e_object(ef.rf)
     B = f.cod
@@ -406,7 +379,6 @@ def mu(f: FinFunctor) -> FinFunctor:
     out = copair(upper, identity_functor(ef.e), on_j)
     if not same_functor(compose_functors(ef.rf, out), upper.rf):
         raise InternalInvariantError("collapse does not live over the base")
-    _MU_CACHE[f.key] = out
     return out
 
 
@@ -495,15 +467,6 @@ def validate_r_algebra(alg: RAlgebra) -> ValidationReport:
     return ValidationReport.from_violations(v)
 
 
-def validate_r_morphism(sq: CommutingSquare, alg1: RAlgebra, alg2: RAlgebra) -> ValidationReport:
-    if not same_functor(sq.left, alg1.functor) or not same_functor(sq.right, alg2.functor):
-        raise InputError("square legs do not match the algebra functors")
-    lhs = compose_functors(alg2.structure, e_square(sq))
-    rhs = compose_functors(sq.top, alg1.structure)
-    ok = same_functor(lhs, rhs)
-    return ValidationReport.from_violations([] if ok else [("structure-compat",)])
-
-
 def r_algebra_from_jr(alg: JrAlgebra) -> RAlgebra:
     """Extend a coslice structure map over the glueing by copairing
     with the identity on the functor domain."""
@@ -565,10 +528,8 @@ class ComonadData:
     comultiplication: FinFunctor
 
 
+@memo_by_key
 def _comonad_raw(f: FinFunctor) -> ComonadData:
-    cached = _COMONAD_CACHE.get(f.key)
-    if cached is not None:
-        return cached
     ef = e_object(f)
     el = e_object(ef.lf)
     delta = orthogonal_lift(
@@ -579,24 +540,21 @@ def _comonad_raw(f: FinFunctor) -> ComonadData:
         raise InternalInvariantError("split does not retract onto the glued category")
     if not same_functor(compose_functors(comult, ef.lf), el.lf):
         raise InternalInvariantError("split does not extend the domain inclusion")
-    data = ComonadData(delta, comult)
-    _COMONAD_CACHE[f.key] = data
-    return data
+    return ComonadData(delta, comult)
 
 
+@memo_by_key
 def comonad_data(f: FinFunctor) -> ComonadData:
     """The comonad structure at f, coassociativity verified once."""
     data = _comonad_raw(f)
-    if f.key not in _COASSOC_OK:
-        ef = e_object(f)
-        el = e_object(ef.lf)
-        inner = _comonad_raw(ef.lf)
-        split_sq = CommutingSquare(ef.lf, el.lf, identity_functor(f.dom), data.comultiplication)
-        lhs = compose_functors(inner.comultiplication, data.comultiplication)
-        rhs = compose_functors(e_square(split_sq), data.comultiplication)
-        if not same_functor(lhs, rhs):
-            raise InternalInvariantError("split fails coassociativity")
-        _COASSOC_OK.add(f.key)
+    ef = e_object(f)
+    el = e_object(ef.lf)
+    inner = _comonad_raw(ef.lf)
+    split_sq = CommutingSquare(ef.lf, el.lf, identity_functor(f.dom), data.comultiplication)
+    lhs = compose_functors(inner.comultiplication, data.comultiplication)
+    rhs = compose_functors(e_square(split_sq), data.comultiplication)
+    if not same_functor(lhs, rhs):
+        raise InternalInvariantError("split fails coassociativity")
     return data
 
 

@@ -77,6 +77,8 @@ class Workspace:
 
 
 def build_workspace(corpus_dir: str | None, guard: int) -> Workspace:
+    if guard <= 0:
+        raise InputError(f"guard must be positive, got {guard}")
     fixtures = dict(CORPUS)
     broken: dict[str, tuple] = {}
     if corpus_dir is not None:
@@ -318,14 +320,9 @@ def cmd_lift(args, ws: Workspace) -> int:
 
 
 def cmd_laws(args, ws: Workspace) -> int:
-    families = tuple(args.families.split(",")) if args.families else FAMILIES
-    scope = LawScope(
-        fixtures=ws.fixtures,
-        guard=ws.guard,
-        families=families,
-        broken=ws.broken,
-    )
-    result = run_laws(scope, seed=args.seed)
+    families = tuple(args.families.split(",")) if args.families else None
+    scope = LawScope(fixtures=ws.fixtures, guard=ws.guard, broken=ws.broken)
+    result = run_laws(scope, families=families, seed=args.seed)
     counts: dict[str, list[int]] = {}
     for c in result.cases:
         row = counts.setdefault(c.family, [0, 0])
@@ -347,6 +344,11 @@ def cmd_laws(args, ws: Workspace) -> int:
 
 def cmd_enumerate(args, ws: Workspace) -> int:
     kind = args.kind
+    arity = 2 if kind in ("functors", "dofs", "squares") else 1
+    if len(args.entry) != arity:
+        raise InputError(
+            f"enumerate {kind} takes {arity} entr{'y' if arity == 1 else 'ies'}, got {len(args.entry)}"
+        )
     if kind == "functors":
         dom = resolve_category(args.entry[0], ws)
         cod = resolve_category(args.entry[1], ws)
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "functors", "dofs", "squares", "lenses",
         "jr-algebras", "r-algebras", "l-coalgebras",
     ])
-    p.add_argument("entry", nargs="+")
+    p.add_argument("entry", nargs="*")
     p.add_argument("--out", default=None, help="directory for numbered JSON files")
 
     p = sub.add_parser("export-dot", help="graph description of a category or lens")

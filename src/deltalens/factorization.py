@@ -21,44 +21,31 @@ from .kernel import (
     comma_to_object,
     compose_functors,
     is_connected,
+    memo_by_key,
     same_cat,
     same_functor,
     tag,
     validate_functor,
 )
 
-_DOF_CACHE: dict[tuple, bool] = {}
-_INITIAL_CACHE: dict[tuple, bool] = {}
 
-
+@memo_by_key
 def is_discrete_opfibration(fun: FinFunctor) -> bool:
     """True when every morphism out of the image of an object has exactly
     one lift with that source."""
-    cached = _DOF_CACHE.get(fun.key)
-    if cached is not None:
-        return cached
-    result = True
     for a in fun.dom.objects:
         fa = fun.obj_map[a]
         outgoing = fun.dom.out(a)
         for u in fun.cod.out(fa):
             if sum(1 for w in outgoing if fun.mor_map[w] == u) != 1:
-                result = False
-                break
-        if not result:
-            break
-    _DOF_CACHE[fun.key] = result
-    return result
+                return False
+    return True
 
 
+@memo_by_key
 def is_initial(fun: FinFunctor) -> bool:
     """True when every comma category fun/b is connected."""
-    cached = _INITIAL_CACHE.get(fun.key)
-    if cached is not None:
-        return cached
-    result = all(is_connected(comma_to_object(fun, b)) for b in fun.cod.objects)
-    _INITIAL_CACHE[fun.key] = result
-    return result
+    return all(is_connected(comma_to_object(fun, b)) for b in fun.cod.objects)
 
 
 def is_isomorphism(fun: FinFunctor) -> bool:
@@ -119,6 +106,7 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     component of its own identity.
     """
     A, B = fun.dom, fun.cod
+    pair_of = {tag(a, u): (a, u) for a in A.objects for u in B.out(fun.obj_map[a])}
     comp_of: dict[str, dict[str, str]] = {}
     reps: dict[str, tuple[str, ...]] = {}
     for b in B.objects:
@@ -142,7 +130,8 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
         comp_of[b] = rep_by_obj
         reps[b] = tuple(sorted(min(ms) for ms in members.values()))
 
-    objects = tuple(tag(b, r) for b in B.objects for r in reps[b])
+    base_of = {tag(b, r): b for b in B.objects for r in reps[b]}
+    objects = tuple(base_of)
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     identity: dict[str, str] = {}
@@ -150,7 +139,7 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
 
     def transport(v: str, rep: str) -> str:
         # image component of the component named rep under post-composition by v
-        a, u = _split_pair(rep)
+        a, u = pair_of[rep]
         return comp_of[B.tgt[v]][tag(a, B.compose[(v, u)])]
 
     for v in B.morphisms:
@@ -186,7 +175,7 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     m = FinFunctor(
         mid,
         B,
-        {o: _split_pair(o)[0] for o in objects},
+        base_of,
         {mm: v for mm, (v, _) in mor_parts.items()},
     )
     _check(validate_functor(e).ok, "factorisation first leg is not a functor")
@@ -195,15 +184,6 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     _check(is_initial(e), "factorisation first leg is not initial")
     _check(is_discrete_opfibration(m), "factorisation second leg is not a discrete opfibration")
     return Factorisation(e=e, m=m, mid=mid)
-
-
-def _split_pair(tagged: str) -> tuple[str, str]:
-    from .kernel import untag
-
-    parts = untag(tagged)
-    if len(parts) != 2:
-        raise InternalInvariantError(f"expected a pair tag: {tagged}")
-    return parts[0], parts[1]
 
 
 def _check(cond: bool, message: str) -> None:

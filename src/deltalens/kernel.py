@@ -19,8 +19,8 @@ post-checks (`InternalInvariantError`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, wraps
 
 
 class InputError(ValueError):
@@ -41,6 +41,29 @@ class InternalInvariantError(RuntimeError):
 
 DEFAULT_GUARD = 10**6
 
+_MISSING = object()
+
+
+def memo_by_key(build):
+    """Memoise a one-argument construction by its argument's `.key`.
+
+    Equal keys mean equal tables, so the first result is served to every
+    later call on an equal argument.  Results are shared between callers
+    and must not be mutated.  A call that raises caches nothing.
+    """
+    results: dict = {}
+
+    @wraps(build)
+    def cached(arg):
+        key = arg.key
+        out = results.get(key, _MISSING)
+        if out is _MISSING:
+            out = results[key] = build(arg)
+        return out
+
+    return cached
+
+
 def _escape(part: str) -> str:
     out = part.replace("\\", "\\\\")
     out = out.replace(",", "\\,")
@@ -56,34 +79,6 @@ def tag(*parts: str) -> str:
     categories never collide even when nested several levels deep.
     """
     return "(" + ",".join(_escape(p) for p in parts) + ")"
-
-
-def untag(tagged: str) -> tuple[str, ...]:
-    """Inverse of `tag`; used by tests and diagnostics, never by constructions."""
-    if not (tagged.startswith("(") and tagged.endswith(")")):
-        raise InputError(f"not a tagged identifier: {tagged!r}")
-    body = tagged[1:-1]
-    parts: list[str] = []
-    cur: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= len(body):
-                raise InputError(f"dangling escape in {tagged!r}")
-            cur.append(body[i + 1])
-            i += 2
-        elif ch == ",":
-            parts.append("".join(cur))
-            cur = []
-            i += 1
-        else:
-            cur.append(ch)
-            i += 1
-    parts.append("".join(cur))
-    if parts == [""] and body == "":
-        return ()
-    return tuple(parts)
 
 
 def lift_tag(obj: str, over: str) -> str:
@@ -243,13 +238,8 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
 # -- validators ------------------------------------------------------------
 
 
-def validate_category(c: FinCat, *, associativity: bool = True) -> ValidationReport:
-    """Check the category laws on raw tables, reporting every violation found.
-
-    The associativity sweep is cubic in branching degree; callers
-    validating very large generated categories may switch it off and
-    rely on spot checks instead.
-    """
+def validate_category(c: FinCat) -> ValidationReport:
+    """Check the category laws on raw tables, reporting every violation found."""
     v: list[Violation] = []
     obj_set = set(c.objects)
     mor_set = set(c.morphisms)
@@ -323,19 +313,18 @@ def validate_category(c: FinCat, *, associativity: bool = True) -> ValidationRep
         if i_tgt in idents and comp(i_tgt, f) is not None and comp(i_tgt, f) != f:
             v.append(("left-unit", f))
 
-    if associativity:
-        for (g, f) in sorted(composable):
-            gf = comp(g, f)
-            if gf is None:
+    for (g, f) in sorted(composable):
+        gf = comp(g, f)
+        if gf is None:
+            continue
+        for h in out_of[c.tgt[g]]:
+            hg = comp(h, g)
+            left = comp(h, gf)
+            right = comp(hg, f) if hg is not None else None
+            if hg is None or left is None or right is None:
                 continue
-            for h in out_of[c.tgt[g]]:
-                hg = comp(h, g)
-                left = comp(h, gf)
-                right = comp(hg, f) if hg is not None else None
-                if hg is None or left is None or right is None:
-                    continue
-                if left != right:
-                    v.append(("associativity", h, g, f))
+            if left != right:
+                v.append(("associativity", h, g, f))
     return ValidationReport.from_violations(v)
 
 
@@ -459,31 +448,6 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
     return FinCat(tuple(objects), tuple(morphisms), src, tgt, identity, compose)
 
 
-def coslice(c: FinCat, b: str) -> FinCat:
-    """The coslice b/c: objects are morphisms out of b, morphisms are
-    post-compositions."""
-    if b not in c.objects:
-        raise InputError(f"unknown object: {b}")
-    objects = c.out(b)
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
-    mor_parts: dict[str, tuple[str, str]] = {}
-    for u in objects:
-        for v in c.out(c.tgt[u]):
-            m = tag(u, v)
-            src[m] = u
-            tgt[m] = c.compose[(v, u)]
-            mor_parts[m] = (u, v)
-        identity[u] = tag(u, c.identity[c.tgt[u]])
-    compose: dict[tuple[str, str], str] = {}
-    for m1, (u1, v1) in mor_parts.items():
-        for m2, (u2, v2) in mor_parts.items():
-            if u2 == tgt[m1]:
-                compose[(m2, m1)] = tag(u1, c.compose[(v2, v1)])
-    return FinCat(tuple(objects), tuple(sorted(mor_parts)), src, tgt, identity, compose)
-
-
 def is_connected(c: FinCat) -> bool:
     """Connectivity of the underlying undirected graph; empty is not connected."""
     if not c.objects:
@@ -501,53 +465,6 @@ def is_connected(c: FinCat) -> bool:
                 seen.add(y)
                 frontier.append(y)
     return len(seen) == len(c.objects)
-
-
-def coproduct(
-    cats: list[FinCat] | tuple[FinCat, ...],
-    labels: list[str] | tuple[str, ...] | None = None,
-) -> tuple[FinCat, tuple[FinFunctor, ...]]:
-    """Disjoint union with tagged identifiers; returns (category, injections)."""
-    cats = tuple(cats)
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(cats)))
-    else:
-        labels = tuple(labels)
-        if len(labels) != len(cats):
-            raise InputError("coproduct needs one label per category")
-        if len(set(labels)) != len(labels):
-            raise InputError("coproduct labels must be distinct")
-    objects: list[str] = []
-    morphisms: list[str] = []
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
-    compose: dict[tuple[str, str], str] = {}
-    injections: list[FinFunctor] = []
-    result: FinCat | None = None
-    for lab, c in zip(labels, cats):
-        for x in c.objects:
-            objects.append(tag(lab, x))
-        for m in c.morphisms:
-            t = tag(lab, m)
-            morphisms.append(t)
-            src[t] = tag(lab, c.src[m])
-            tgt[t] = tag(lab, c.tgt[m])
-        for x in c.objects:
-            identity[tag(lab, x)] = tag(lab, c.identity[x])
-        for (g, f), gf in c.compose.items():
-            compose[(tag(lab, g), tag(lab, f))] = tag(lab, gf)
-    result = FinCat(tuple(objects), tuple(morphisms), src, tgt, identity, compose)
-    for lab, c in zip(labels, cats):
-        injections.append(
-            FinFunctor(
-                c,
-                result,
-                {x: tag(lab, x) for x in c.objects},
-                {m: tag(lab, m) for m in c.morphisms},
-            )
-        )
-    return result, tuple(injections)
 
 
 def enumerate_functors(

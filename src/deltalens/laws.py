@@ -18,12 +18,13 @@ from .kernel import (
     FinCat,
     FinFunctor,
     GuardExceededError,
+    InputError,
     compose_functors,
     counit_inclusion,
+    enumerate_functors,
     identity_functor,
     same_cat,
     validate_category,
-    validate_functor,
 )
 from .factorization import (
     CommutingSquare,
@@ -35,19 +36,17 @@ from .factorization import (
 from .fixtures import CORPUS
 from .lens import (
     DeltaLens,
-    compose_lenses,
     identity_lens,
     lens_from_discrete_opfibration,
     lens_from_lambda,
     lambda_presentation,
     validate_lens,
 )
-from .semimonad import j_object, jr_from_lens, lens_from_jr, validate_semimonad
+from .semimonad import jr_from_lens, lens_from_jr, validate_semimonad
 from .awfs import (
     cofree_coalgebra,
     e_object,
     free_lens,
-    jr_from_r_algebra,
     lens_to_r_algebra,
     r_algebra_to_lens,
     validate_comonad,
@@ -55,7 +54,6 @@ from .awfs import (
     validate_l_coalgebra,
     validate_monad,
 )
-from .kernel import InputError, enumerate_functors
 
 SQUARE_FIXTURES = ("interval", "terminal", "walking-iso", "walking-retraction")
 TOWER_FIXTURES = ("discrete-pair", "interval", "parallel-pair", "terminal")
@@ -84,9 +82,6 @@ class LawScope:
 
     fixtures: dict[str, FinCat]
     guard: int = DEFAULT_GUARD
-    square_fixtures: tuple[str, ...] = SQUARE_FIXTURES
-    tower_fixtures: tuple[str, ...] = TOWER_FIXTURES
-    families: tuple[str, ...] = FAMILIES
     broken: dict[str, tuple] = field(default_factory=dict)
 
 
@@ -140,8 +135,8 @@ def corpus_squares(
     eligible = [
         (name, fun)
         for name, fun in functors
-        if name.split("#")[0].split("->")[0] in scope.square_fixtures
-        and name.split("#")[0].split("->")[1] in scope.square_fixtures
+        if name.split("#")[0].split("->")[0] in SQUARE_FIXTURES
+        and name.split("#")[0].split("->")[1] in SQUARE_FIXTURES
     ]
     by_sig: dict[tuple[str, str], list[tuple[str, FinFunctor]]] = {}
     for name, fun in eligible:
@@ -337,7 +332,7 @@ def _distributive_cases(scope, functors) -> list[LawCase]:
 
 def _tower_inputs(scope) -> list[tuple[str, FinFunctor]]:
     out = []
-    for name in sorted(scope.tower_fixtures):
+    for name in sorted(TOWER_FIXTURES):
         if name not in scope.fixtures:
             continue
         c = scope.fixtures[name]
@@ -382,7 +377,7 @@ def run_laws(
 ) -> LawSuiteResult:
     """Run the law suite and report one case per checked instance."""
     scope = scope or default_scope()
-    wanted = families if families is not None else scope.families
+    wanted = families if families is not None else FAMILIES
     for fam in wanted:
         if fam not in FAMILIES:
             raise InputError(f"unknown law family: {fam}")

@@ -124,14 +124,6 @@ def lens_from_discrete_opfibration(fun: FinFunctor) -> DeltaLens:
     return l
 
 
-def is_discrete_opfibration_lens(l: DeltaLens) -> bool:
-    """True when the table lifts every domain morphism back to itself."""
-    fun = l.functor
-    return all(
-        l.lift(fun.dom.src[w], fun.mor_map[w]) == w for w in fun.dom.morphisms
-    )
-
-
 def validate_lens_morphism(sq: CommutingSquare, l1: DeltaLens, l2: DeltaLens) -> ValidationReport:
     """Check that the square's top leg h sends chosen lifts to chosen lifts.
 

@@ -27,6 +27,7 @@ from .kernel import (
     counit_inclusion,
     discrete,
     discrete_restriction,
+    memo_by_key,
     same_cat,
     same_functor,
     tag,
@@ -35,24 +36,6 @@ from .kernel import (
 )
 from .factorization import CommutingSquare, is_discrete_opfibration, is_initial
 from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
-
-_J_CACHE: dict[tuple, "JPresentation"] = {}
-
-# Full associativity validation of a generated category is cubic in
-# branching degree; above this composable-pair budget only the linear
-# checks run and the law suite carries the rest.
-_ASSOC_BUDGET = 200_000
-
-
-def _composable_pairs(c: FinCat) -> int:
-    outdeg = {x: len(c.out(x)) for x in c.objects}
-    return sum(outdeg[c.tgt[m]] for m in c.morphisms)
-
-
-def validate_generated_category(c: FinCat) -> ValidationReport:
-    """Category validation with the associativity sweep budget applied."""
-    return validate_category(c, associativity=_composable_pairs(c) <= _ASSOC_BUDGET)
-
 
 @dataclass(frozen=True)
 class JPresentation:
@@ -72,11 +55,9 @@ class JPresentation:
     mor_parts: dict[str, tuple[str, str, str]]
 
 
+@memo_by_key
 def j_object(f: FinFunctor) -> JPresentation:
     """Build (and cache) the coslice presentation of f."""
-    cached = _J_CACHE.get(f.key)
-    if cached is not None:
-        return cached
     A, B = f.dom, f.cod
     obj_pairs: dict[str, tuple[str, str]] = {}
     for a in A.objects:
@@ -111,12 +92,11 @@ def j_object(f: FinFunctor) -> JPresentation:
     )
     pres = JPresentation(j, s, t, obj_pairs, mor_parts)
     _verify_j(pres, f)
-    _J_CACHE[f.key] = pres
     return pres
 
 
 def _verify_j(pres: JPresentation, f: FinFunctor) -> None:
-    if not validate_generated_category(pres.j).ok:
+    if not validate_category(pres.j).ok:
         raise InternalInvariantError("coslice category tables are inconsistent")
     if not validate_functor(pres.s).ok or not validate_functor(pres.t).ok:
         raise InternalInvariantError("coslice structure legs are not functors")

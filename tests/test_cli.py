@@ -108,6 +108,30 @@ def test_enumerate_command(tmp_path, capsys):
     assert (out_dir / "lenses-0.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "functors", "interval"],
+        ["enumerate", "functors", "interval", "interval", "interval"],
+        ["enumerate", "dofs", "interval"],
+        ["enumerate", "dofs", "interval", "interval", "interval"],
+        ["enumerate", "squares", "id:interval"],
+        ["enumerate", "squares", "id:interval", "id:interval", "id:interval"],
+        *(
+            argv
+            for kind in ("lenses", "jr-algebras", "r-algebras", "l-coalgebras")
+            for argv in (["enumerate", kind], ["enumerate", kind, "id:terminal", "id:terminal"])
+        ),
+        ["--guard", "0", "laws"],
+        ["--guard", "-5", "laws"],
+    ],
+)
+def test_bad_arity_and_guard_are_input_errors(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+
+
 def test_laws_subset_runs_only_requested_families(capsys):
     code, out, _ = run(["laws", "--families", "factorisation"], capsys)
     assert code == 0
