@@ -103,23 +103,6 @@ def ef_mor_id(f: FinFunctor, m: EfMorphism) -> str:
     return tag("I", m.u1, m.v, m.w, m.u2)
 
 
-def ef_src(f: FinFunctor, m: EfMorphism) -> str:
-    if isinstance(m, EfId):
-        return tag(m.a, m.u)
-    if isinstance(m, EfKindII):
-        return tag(m.a, m.u1)
-    return tag(f.dom.src[m.w], m.u1)
-
-
-def ef_tgt(f: FinFunctor, m: EfMorphism) -> str:
-    B = f.cod
-    if isinstance(m, EfId):
-        return tag(m.a, m.u)
-    if isinstance(m, EfKindII):
-        return tag(m.a, B.compose[(m.v, m.u1)])
-    return tag(f.dom.tgt[m.w], m.u2)
-
-
 def ef_base_image(f: FinFunctor, m: EfMorphism) -> str:
     """The morphism of the codomain that Rf assigns to m."""
     B = f.cod
@@ -177,6 +160,8 @@ class EfPresentation:
     rf         e -> codomain, with f = rf . lf
     alpha      coslice -> e, an inclusion on identifiers
     kinds      morphism id -> normal form
+    id_of      normal form -> morphism id, the inverse of kinds; object
+               ids are looked up in the coslice's `j.id_of`
     obj_pairs  object id -> (a, u), shared with the coslice
     """
 
@@ -187,6 +172,7 @@ class EfPresentation:
     rf: FinFunctor
     alpha: FinFunctor
     kinds: dict[str, EfMorphism]
+    id_of: dict[EfMorphism, str]
     obj_pairs: dict[str, tuple[str, str]]
 
 
@@ -211,19 +197,20 @@ def e_object(f: FinFunctor) -> EfPresentation:
     kinds: dict[str, EfMorphism] = {}
     for m, (a, u, v) in jp.mor_parts.items():
         kinds[m] = EfId(a, u) if B.is_identity(v) else EfKindII(a, u, v)
+    src, tgt = dict(jp.j.src), dict(jp.j.tgt)
     retr = {a: retraction_pairs(f, a) for a in A.objects}
     for w in A.nonidentity:
-        a2 = A.tgt[w]
-        for (u1, v) in retr[A.src[w]]:
+        a1, a2 = A.src[w], A.tgt[w]
+        for (u1, v) in retr[a1]:
             for u2 in B.out(f.obj_map[a2]):
-                m = EfKindI(u1, v, w, u2)
-                mid = ef_mor_id(f, m)
-                if mid in kinds:
+                k = EfKindI(u1, v, w, u2)
+                m = ef_mor_id(f, k)
+                if m in kinds:
                     raise InternalInvariantError("crossing identifier collision")
-                kinds[mid] = m
-
-    src = {m: ef_src(f, k) for m, k in kinds.items()}
-    tgt = {m: ef_tgt(f, k) for m, k in kinds.items()}
+                kinds[m] = k
+                src[m] = jp.id_of[(a1, u1)]
+                tgt[m] = jp.id_of[(a2, u2)]
+    id_of = {k: m for m, k in kinds.items()}
     identity = dict(jp.j.identity)
     rf_map = {m: ef_base_image(f, k) for m, k in kinds.items()}
 
@@ -234,34 +221,34 @@ def e_object(f: FinFunctor) -> EfPresentation:
     for m1, k1 in kinds.items():
         base1 = rf_map[m1]
         for m2 in out_of[tgt[m1]]:
-            rid = ef_mor_id(f, compose_ef(f, kinds[m2], k1))
+            rid = id_of.get(compose_ef(f, kinds[m2], k1))
             compose[(m2, m1)] = rid
             if rf_map.get(rid) != B.compose[(rf_map[m2], base1)]:
                 raise InternalInvariantError("composition does not project onto the base")
 
     e = FinCat(jp.j.objects, tuple(kinds), src, tgt, identity, compose)
+    placed = jp.s.obj_map
     lf = FinFunctor(
         A,
         e,
-        {a: tag(a, B.identity[f.obj_map[a]]) for a in A.objects},
+        dict(placed),
         {
-            m: identity[tag(A.src[m], B.identity[f.obj_map[A.src[m]]])]
+            m: identity[placed[A.src[m]]]
             if A.is_identity(m)
-            else ef_mor_id(
-                f,
+            else id_of[
                 EfKindI(
                     B.identity[f.obj_map[A.src[m]]],
                     B.identity[f.obj_map[A.src[m]]],
                     m,
                     B.identity[f.obj_map[A.tgt[m]]],
-                ),
-            )
+                )
+            ]
             for m in A.morphisms
         },
     )
     rf = FinFunctor(e, B, {x: B.tgt[u] for x, (a, u) in jp.obj_pairs.items()}, rf_map)
     alpha = FinFunctor(jp.j, e, {x: x for x in jp.j.objects}, {m: m for m in jp.j.morphisms})
-    pres = EfPresentation(f, jp, e, lf, rf, alpha, kinds, jp.obj_pairs)
+    pres = EfPresentation(f, jp, e, lf, rf, alpha, kinds, id_of, jp.obj_pairs)
     _verify_e(pres)
     return pres
 
@@ -300,7 +287,7 @@ def e_square(sq: CommutingSquare) -> FinFunctor:
     g = sq.right
     h_obj, h_mor = sq.top.obj_map, sq.top.mor_map
     k_mor = sq.bottom.mor_map
-    obj_map = {x: tag(h_obj[a], k_mor[u]) for x, (a, u) in ef.obj_pairs.items()}
+    obj_map = {x: eg.j.id_of.get((h_obj[a], k_mor[u])) for x, (a, u) in ef.obj_pairs.items()}
     mor_map: dict[str, str] = {}
     for m, kind in ef.kinds.items():
         if isinstance(kind, EfKindI):
@@ -309,7 +296,7 @@ def e_square(sq: CommutingSquare) -> FinFunctor:
             img = _kind2(g, h_obj[kind.a], k_mor[kind.u1], k_mor[kind.v])
         else:
             img = EfId(h_obj[kind.a], k_mor[kind.u])
-        mor_map[m] = ef_mor_id(g, img)
+        mor_map[m] = eg.id_of.get(img)
     out = FinFunctor(ef.e, eg.e, obj_map, mor_map)
     if not validate_functor(out).ok:
         raise InternalInvariantError("factorisation image of a square is not a functor")
@@ -343,8 +330,8 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
     for m, kind in pres.kinds.items():
         if isinstance(kind, EfKindI):
             a1, a2 = A.src[kind.w], A.tgt[kind.w]
-            enter = on_j.mor_map[tag(a1, kind.u1, kind.v)]
-            exit_ = on_j.mor_map[tag(a2, B.identity[f.obj_map[a2]], kind.u2)]
+            enter = on_j.mor_map[pres.j.id_of[(a1, kind.u1, kind.v)]]
+            exit_ = on_j.mor_map[pres.j.id_of[(a2, B.identity[f.obj_map[a2]], kind.u2)]]
             mor_map[m] = X.compose[(X.compose[(exit_, on_a.mor_map[kind.w])], enter)]
         else:
             mor_map[m] = on_j.mor_map[m]
@@ -370,11 +357,11 @@ def mu(f: FinFunctor) -> FinFunctor:
     obj_map: dict[str, str] = {}
     for x2, (x, u2) in upper.j.obj_pairs.items():
         a, u = ef.obj_pairs[x]
-        obj_map[x2] = tag(a, B.compose[(u2, u)])
+        obj_map[x2] = ef.j.id_of[(a, B.compose[(u2, u)])]
     mor_map: dict[str, str] = {}
     for m2, (x, u2, v) in upper.j.mor_parts.items():
         a, u = ef.obj_pairs[x]
-        mor_map[m2] = tag(a, B.compose[(u2, u)], v)
+        mor_map[m2] = ef.j.id_of[(a, B.compose[(u2, u)], v)]
     on_j = FinFunctor(upper.j.j, ef.e, obj_map, mor_map)
     out = copair(upper, identity_functor(ef.e), on_j)
     if not same_functor(compose_functors(ef.rf, out), upper.rf):
@@ -503,7 +490,7 @@ def free_lens(f: FinFunctor) -> DeltaLens:
     category: extensions lift to postcompositions."""
     ef = e_object(f)
     entries = {
-        (x, u2): ef_mor_id(f, _kind2(f, a, u, u2))
+        (x, u2): ef.id_of[_kind2(f, a, u, u2)]
         for x, (a, u) in ef.obj_pairs.items()
         for u2 in f.cod.out(f.cod.tgt[u])
     }

@@ -338,6 +338,9 @@ def cmd_laws(args, ws: Workspace) -> int:
         )
     for pair in result.skipped:
         print(f"skipped (guard): {pair}")
+    if not result.cases:
+        print("suite: nothing checked")
+        return 1
     print("suite: " + ("ok" if result.ok else "FAILED"))
     return 0 if result.ok else 1
 
@@ -378,11 +381,9 @@ def cmd_enumerate(args, ws: Workspace) -> int:
         elif kind == "r-algebras":
             values = enumerate_r_algebra_structures(fun, ws.guard)
             payloads = [functor_to_json(a.structure) for a in values]
-        elif kind == "l-coalgebras":
+        else:
             values = enumerate_l_coalgebras(fun, ws.guard)
             payloads = [functor_to_json(a.structure) for a in values]
-        else:
-            raise InputError(f"unknown enumeration kind: {kind}")
     print(f"{kind}: {len(values)}")
     if args.out is not None:
         out = Path(args.out)

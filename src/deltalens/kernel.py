@@ -9,6 +9,11 @@ values are immutable after construction, and every enumeration walks
 identifiers in sorted order, so all derived data is reproducible bit
 for bit.
 
+A derived category's identifiers are made once, by `tag`, where each
+object or morphism is created.  Its composition table, and the maps
+that the constructions apply to squares, look those identifiers up by
+their parts instead of tagging them again.
+
 Validators return `ValidationReport` values instead of raising: a bad
 table is data to report on, not an exception.  Exceptions are reserved
 for misuse (`InputError`), broken preconditions (`ContractError`),
@@ -77,6 +82,8 @@ def tag(*parts: str) -> str:
 
     Escaping makes the encoding injective, so identifiers of derived
     categories never collide even when nested several levels deep.
+    Constructions call this once per object or morphism they create and
+    afterwards look the identifier up by its parts.
     """
     return "(" + ",".join(_escape(p) for p in parts) + ")"
 
@@ -289,6 +296,7 @@ def validate_category(c: FinCat) -> ValidationReport:
             continue
         for g in out_of[c.tgt[f]]:
             composable.add((g, f))
+    pairs = sorted(composable)
 
     for (g, f), gf in sorted(c.compose.items()):
         if g not in mor_set or f not in mor_set or gf not in mor_set:
@@ -297,7 +305,7 @@ def validate_category(c: FinCat) -> ValidationReport:
             v.append(("compose-not-composable", g, f))
         elif c.src[gf] != c.src[f] or c.tgt[gf] != c.tgt[g]:
             v.append(("composite-typing", g, f, gf))
-    for pair in sorted(composable):
+    for pair in pairs:
         if pair not in c.compose:
             v.append(("missing-composite", *pair))
 
@@ -313,17 +321,28 @@ def validate_category(c: FinCat) -> ValidationReport:
         if i_tgt in idents and comp(i_tgt, f) is not None and comp(i_tgt, f) != f:
             v.append(("left-unit", f))
 
-    for (g, f) in sorted(composable):
-        gf = comp(g, f)
+    # Associativity a row at a time: for a composable (g, f), the row of
+    # h.(g.f) over every h out of tgt g against the row of (h.g).f, where
+    # after[x][h] is h after x.  Equal rows hold no violation; a row that
+    # differs is walked h by h, where a missing composite skips the triple.
+    after: dict[str, dict[str, str]] = {}
+    for (g, f), gf in c.compose.items():
+        after.setdefault(f, {})[g] = gf
+    empty: dict[str, str] = {}
+    for g, f in pairs:
+        after_f = after.get(f, empty)
+        gf = after_f.get(g)
         if gf is None:
             continue
-        for h in out_of[c.tgt[g]]:
-            hg = comp(h, g)
-            left = comp(h, gf)
-            right = comp(hg, f) if hg is not None else None
-            if hg is None or left is None or right is None:
-                continue
-            if left != right:
+        hs = out_of[c.tgt[g]]
+        after_g = after.get(g, empty)
+        left_row = list(map(after.get(gf, empty).get, hs))
+        if left_row == list(map(after_f.get, map(after_g.get, hs))):
+            continue
+        for h, left in zip(hs, left_row):
+            hg = after_g.get(h)
+            right = None if hg is None else after_f.get(hg)
+            if left is not None and right is not None and left != right:
                 v.append(("associativity", h, g, f))
     return ValidationReport.from_violations(v)
 
@@ -409,19 +428,14 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
     if b not in fun.cod.objects:
         raise InputError(f"unknown object: {b}")
     A, B = fun.dom, fun.cod
-    objects: list[str] = []
-    obj_pairs: dict[str, tuple[str, str]] = {}
+    obj_id: dict[tuple[str, str], str] = {}
     for a in A.objects:
-        fa = fun.obj_map[a]
-        for u in B.out(fa):
-            if B.tgt[u] != b:
-                continue
-            o = tag(a, u)
-            objects.append(o)
-            obj_pairs[o] = (a, u)
+        for u in B.out(fun.obj_map[a]):
+            if B.tgt[u] == b:
+                obj_id[(a, u)] = tag(a, u)
+    mor_id: dict[tuple[str, str], str] = {}
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
     mor_parts: dict[str, tuple[str, str]] = {}
     for w in A.morphisms:
         a, a2 = A.src[w], A.tgt[w]
@@ -429,23 +443,22 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
         for u2 in B.out(fun.obj_map[a2]):
             if B.tgt[u2] != b:
                 continue
-            u = B.compose[(u2, fw)]
-            m = tag(w, u2)
-            src[m] = tag(a, u)
-            tgt[m] = tag(a2, u2)
+            m = mor_id[(w, u2)] = tag(w, u2)
+            src[m] = obj_id[(a, B.compose[(u2, fw)])]
+            tgt[m] = obj_id[(a2, u2)]
             mor_parts[m] = (w, u2)
-    for o, (a, u) in obj_pairs.items():
-        identity[o] = tag(A.identity[a], u)
-    compose: dict[tuple[str, str], str] = {}
+    identity = {o: mor_id[(A.identity[a], u)] for (a, u), o in obj_id.items()}
     morphisms = sorted(mor_parts)
+    out_of: dict[str, list[str]] = {o: [] for o in obj_id.values()}
+    for m in morphisms:
+        out_of[src[m]].append(m)
+    compose: dict[tuple[str, str], str] = {}
     for m1 in morphisms:
-        for m2 in morphisms:
-            if tgt[m1] != src[m2]:
-                continue
-            w1, _ = mor_parts[m1]
+        w1, _ = mor_parts[m1]
+        for m2 in out_of[tgt[m1]]:
             w2, u3 = mor_parts[m2]
-            compose[(m2, m1)] = tag(A.compose[(w2, w1)], u3)
-    return FinCat(tuple(objects), tuple(morphisms), src, tgt, identity, compose)
+            compose[(m2, m1)] = mor_id[(A.compose[(w2, w1)], u3)]
+    return FinCat(tuple(obj_id.values()), tuple(morphisms), src, tgt, identity, compose)
 
 
 def is_connected(c: FinCat) -> bool:

@@ -104,7 +104,8 @@ class LawSuiteResult:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.cases)
+        """True when at least one case ran and every case passed."""
+        return bool(self.cases) and all(c.ok for c in self.cases)
 
     @property
     def failures(self) -> tuple[LawCase, ...]:

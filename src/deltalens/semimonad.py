@@ -46,6 +46,8 @@ class JPresentation:
     t          j -> codomain, projecting u onto its target
     obj_pairs  object id -> (a, u)
     mor_parts  morphism id -> (a, u, v), the arrow (a, u) -> (a, v.u)
+    id_of      the inverse of both: (a, u) -> object id, (a, u, v) ->
+               morphism id; each id is `tag` of its parts
     """
 
     j: FinCat
@@ -53,16 +55,19 @@ class JPresentation:
     t: FinFunctor
     obj_pairs: dict[str, tuple[str, str]]
     mor_parts: dict[str, tuple[str, str, str]]
+    id_of: dict[tuple[str, ...], str]
 
 
 @memo_by_key
 def j_object(f: FinFunctor) -> JPresentation:
     """Build (and cache) the coslice presentation of f."""
     A, B = f.dom, f.cod
+    id_of: dict[tuple[str, ...], str] = {}
     obj_pairs: dict[str, tuple[str, str]] = {}
     for a in A.objects:
         for u in B.out(f.obj_map[a]):
-            obj_pairs[tag(a, u)] = (a, u)
+            x = id_of[(a, u)] = tag(a, u)
+            obj_pairs[x] = (a, u)
     mor_parts: dict[str, tuple[str, str, str]] = {}
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
@@ -70,19 +75,19 @@ def j_object(f: FinFunctor) -> JPresentation:
     for x, (a, u) in obj_pairs.items():
         b = B.tgt[u]
         for v in B.out(b):
-            m = tag(a, u, v)
+            m = id_of[(a, u, v)] = tag(a, u, v)
             mor_parts[m] = (a, u, v)
             src[m] = x
-            tgt[m] = tag(a, B.compose[(v, u)])
-        identity[x] = tag(a, u, B.identity[b])
+            tgt[m] = id_of[(a, B.compose[(v, u)])]
+        identity[x] = id_of[(a, u, B.identity[b])]
     compose: dict[tuple[str, str], str] = {}
     for m1, (a, u, v1) in mor_parts.items():
         mid = B.compose[(v1, u)]
         for v2 in B.out(B.tgt[v1]):
-            compose[(tag(a, mid, v2), m1)] = tag(a, u, B.compose[(v2, v1)])
+            compose[(id_of[(a, mid, v2)], m1)] = id_of[(a, u, B.compose[(v2, v1)])]
     j = FinCat(tuple(obj_pairs), tuple(mor_parts), src, tgt, identity, compose)
     dA = discrete(A)
-    s_obj = {a: tag(a, B.identity[f.obj_map[a]]) for a in A.objects}
+    s_obj = {a: id_of[(a, B.identity[f.obj_map[a]])] for a in A.objects}
     s = FinFunctor(dA, j, s_obj, {A.identity[a]: identity[s_obj[a]] for a in A.objects})
     t = FinFunctor(
         j,
@@ -90,7 +95,7 @@ def j_object(f: FinFunctor) -> JPresentation:
         {x: B.tgt[u] for x, (a, u) in obj_pairs.items()},
         {m: v for m, (a, u, v) in mor_parts.items()},
     )
-    pres = JPresentation(j, s, t, obj_pairs, mor_parts)
+    pres = JPresentation(j, s, t, obj_pairs, mor_parts, id_of)
     _verify_j(pres, f)
     return pres
 
@@ -117,12 +122,14 @@ def _raw_j_square(
     bottom_mor: dict[str, str],
 ) -> FinFunctor:
     """The induced map on coslices, from a top object map and a bottom
-    morphism map; well-definedness is the caller's concern."""
+    morphism map; well-definedness is the caller's concern: an image
+    that is not an identifier of `cod` maps to None."""
+    id_of = cod.id_of.get
     obj_map = {
-        x: tag(top_obj[a], bottom_mor[u]) for x, (a, u) in dom.obj_pairs.items()
+        x: id_of((top_obj[a], bottom_mor[u])) for x, (a, u) in dom.obj_pairs.items()
     }
     mor_map = {
-        m: tag(top_obj[a], bottom_mor[u], bottom_mor[v])
+        m: id_of((top_obj[a], bottom_mor[u], bottom_mor[v]))
         for m, (a, u, v) in dom.mor_parts.items()
     }
     return FinFunctor(dom.j, cod.j, obj_map, mor_map)
@@ -154,11 +161,11 @@ def nu(f: FinFunctor) -> FinFunctor:
     obj_map: dict[str, str] = {}
     for x2, (x, u2) in upper.obj_pairs.items():
         a, u1 = base.obj_pairs[x]
-        obj_map[x2] = tag(a, B.compose[(u2, u1)])
+        obj_map[x2] = base.id_of[(a, B.compose[(u2, u1)])]
     mor_map: dict[str, str] = {}
     for m2, (x, u2, v) in upper.mor_parts.items():
         a, u1 = base.obj_pairs[x]
-        mor_map[m2] = tag(a, B.compose[(u2, u1)], v)
+        mor_map[m2] = base.id_of[(a, B.compose[(u2, u1)], v)]
     out = FinFunctor(upper.j, base.j, obj_map, mor_map)
     if not validate_functor(out).ok:
         raise InternalInvariantError("multiplication is not a functor")
@@ -286,8 +293,9 @@ def lens_from_jr(alg: JrAlgebra) -> DeltaLens:
         raise ContractError("structure map fails the algebra laws")
     f, p = alg.functor, alg.structure
     B = f.cod
+    id_of = j_object(f).id_of
     entries = {
-        (a, u): p.mor_map[tag(a, B.identity[f.obj_map[a]], u)]
+        (a, u): p.mor_map[id_of[(a, B.identity[f.obj_map[a]], u)]]
         for a, u in lens_pairs(f)
     }
     l = DeltaLens(f, LiftingTable(entries))

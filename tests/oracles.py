@@ -1,13 +1,14 @@
 """Independent reference constructions used only by the tests.
 
 These deliberately avoid the production code paths they are checking:
-the pushout oracle builds the amalgamated category from generator words
-and the diagonal oracle searches all functors.
+the pushout oracle builds the amalgamated category from generator words,
+the diagonal oracle searches all functors and the associativity oracle
+sweeps every triple of morphisms.
 """
 
 from __future__ import annotations
 
-from deltalens.kernel import FinFunctor, compose_functors, enumerate_functors
+from deltalens.kernel import FinCat, FinFunctor, compose_functors, enumerate_functors
 from deltalens.semimonad import j_object
 
 WORD_CAP = 8
@@ -159,4 +160,24 @@ def brute_force_diagonals(sq, guard: int = 10**6) -> list[FinFunctor]:
             and compose_functors(sq.right, d) == sq.bottom
         ):
             found.append(d)
+    return found
+
+
+def associativity_violations(c: FinCat) -> list[tuple]:
+    """Every ("associativity", h, g, f) with h.(g.f) != (h.g).f, by a naive
+    sweep over composable triples, ordered by (g, f) and then h.  A triple
+    with a missing composite is skipped.  Assumes every morphism has a
+    source and a target among the objects."""
+    found = []
+    for g in c.morphisms:
+        fs = [f for f in c.morphisms if c.tgt[f] == c.src[g]]
+        hs = [h for h in c.morphisms if c.src[h] == c.tgt[g]]
+        for f in fs:
+            for h in hs:
+                gf, hg = c.compose.get((g, f)), c.compose.get((h, g))
+                if gf is None or hg is None:
+                    continue
+                left, right = c.compose.get((h, gf)), c.compose.get((hg, f))
+                if left is not None and right is not None and left != right:
+                    found.append(("associativity", h, g, f))
     return found

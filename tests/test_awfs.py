@@ -12,6 +12,7 @@ from deltalens.kernel import (
     ContractError,
     FinFunctor,
     InputError,
+    comma_to_object,
     compose_functors,
     counit_inclusion,
     identity_functor,
@@ -19,14 +20,19 @@ from deltalens.kernel import (
 )
 from deltalens.lens import identity_lens, validate_lens
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
-from deltalens.semimonad import j_object, jr_from_lens
+from deltalens.semimonad import j_object, j_square, jr_from_lens
 from deltalens.awfs import (
+    EfId,
+    EfKindI,
+    EfKindII,
     LCoalgebra,
     RAlgebra,
     cofree_coalgebra,
     comonad_data,
+    compose_ef,
     copair,
     e_object,
+    e_square,
     ef_mor_id,
     free_lens,
     jr_from_r_algebra,
@@ -41,7 +47,7 @@ from deltalens.awfs import (
     validate_monad,
     validate_r_algebra,
 )
-from deltalens.awfs import _kind2
+from deltalens.awfs import _kind1, _kind2
 
 
 def test_interval_identity_normal_form_is_pinned():
@@ -304,3 +310,63 @@ def test_r_algebra_structure_enumeration_matches_lens_count():
     )
     algebras = enumerate_r_algebra_structures(fun, 10**6)
     assert len(algebras) == 2
+
+
+def _assert_composites_retag(f):
+    """Composition tables hold the ids that `tag` rebuilds from parts."""
+    A, B = f.dom, f.cod
+    jp = j_object(f)
+    for m, parts in jp.mor_parts.items():
+        assert m == tag(*parts)
+    for (m2, m1), m in jp.j.compose.items():
+        a, u, v1 = jp.mor_parts[m1]
+        assert m == tag(a, u, B.compose[(jp.mor_parts[m2][2], v1)])
+    ef = e_object(f)
+    for m, k in ef.kinds.items():
+        assert m == ef_mor_id(f, k)
+    for (m2, m1), m in ef.e.compose.items():
+        assert m == ef_mor_id(f, compose_ef(f, ef.kinds[m2], ef.kinds[m1]))
+    for b in B.objects:
+        comma = comma_to_object(f, b)
+        parts = {
+            tag(w, u2): (w, u2)
+            for w in A.morphisms
+            for u2 in B.out(f.obj_map[A.tgt[w]])
+            if B.tgt[u2] == b
+        }
+        assert set(comma.morphisms) == set(parts)
+        for (m2, m1), m in comma.compose.items():
+            (w2, u3), (w1, _) = parts[m2], parts[m1]
+            assert m == tag(A.compose[(w2, w1)], u3)
+
+
+def test_looked_up_ids_match_retagging(corpus_funs, corpus_sqs):
+    funs = [f for _, f in corpus_funs]
+    assert len(funs) == 125
+    for f in funs + [e_object(f).rf for f in funs]:
+        _assert_composites_retag(f)
+
+    pair = "walking-retraction->walking-retraction#"
+    squares = [
+        sq for name, sq in corpus_sqs
+        if name.startswith(pair) and name.split("=>")[1].startswith(pair)
+    ]
+    assert squares
+    for sq in squares:
+        h, k, g = sq.top, sq.bottom, sq.right
+        ef = e_object(sq.left)
+        on_j, on_e = j_square(sq), e_square(sq)
+        for x, (a, u) in ef.obj_pairs.items():
+            assert on_j.obj_map[x] == on_e.obj_map[x] == tag(h.obj_map[a], k.mor_map[u])
+        for m, (a, u, v) in ef.j.mor_parts.items():
+            assert on_j.mor_map[m] == tag(h.obj_map[a], k.mor_map[u], k.mor_map[v])
+        for m, kind in ef.kinds.items():
+            if isinstance(kind, EfKindI):
+                img = _kind1(
+                    g, k.mor_map[kind.u1], k.mor_map[kind.v], h.mor_map[kind.w], k.mor_map[kind.u2]
+                )
+            elif isinstance(kind, EfKindII):
+                img = _kind2(g, h.obj_map[kind.a], k.mor_map[kind.u1], k.mor_map[kind.v])
+            else:
+                img = EfId(h.obj_map[kind.a], k.mor_map[kind.u])
+            assert on_e.mor_map[m] == ef_mor_id(g, img)

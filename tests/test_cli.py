@@ -1,10 +1,15 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from deltalens.cli import main
+import deltalens
+from deltalens.cli import Workspace, cmd_laws, main
+from deltalens.kernel import DEFAULT_GUARD
 
 
 def run(args, capsys):
@@ -165,6 +170,12 @@ def test_laws_reports_broken_corpus_entries(tmp_path, capsys):
     assert "missing-composite" in out
 
 
+def test_laws_that_check_nothing_exit_1(capsys):
+    args = argparse.Namespace(families="fixtures", seed=None)
+    assert cmd_laws(args, Workspace({}, {}, DEFAULT_GUARD)) == 1
+    assert capsys.readouterr().out == "suite: nothing checked\n"
+
+
 def test_seed_only_shuffles_execution_order(capsys):
     code1, out1, _ = run(["laws", "--families", "fixtures,coalgebra", "--seed", "1"], capsys)
     code2, out2, _ = run(["laws", "--families", "fixtures,coalgebra", "--seed", "7"], capsys)
@@ -188,9 +199,12 @@ def test_export_dot_output(capsys):
 
 
 def test_console_script_entry_point():
+    # The child imports the same package as this process, installed or not.
+    path = [str(Path(deltalens.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "deltalens.cli", "validate", "terminal"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "ok: terminal" in proc.stdout

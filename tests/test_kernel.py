@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import associativity_violations
+
+from deltalens.awfs import e_object
 from deltalens.fixtures import CORPUS
 from deltalens.kernel import (
     FinCat,
     FinFunctor,
     GuardExceededError,
-    InputError,
     compose_functors,
     counit_inclusion,
     discrete,
@@ -127,6 +129,32 @@ def test_validate_category_broken_associativity():
     )
     report = validate_category(c)
     assert any(v[0] == "associativity" for v in report.violations)
+
+
+def _assoc_subject(name: str) -> FinCat:
+    if name in CORPUS:
+        return CORPUS[name]
+    iso = CORPUS["walking-iso"]
+    f = enumerate_functors(iso, iso)[0]
+    return e_object(e_object(f).rf).e
+
+
+@given(st.data())
+def test_associativity_report_matches_naive_sweep(data):
+    c = _assoc_subject(data.draw(st.sampled_from(sorted(CORPUS) + ["depth-2"])))
+    keys = sorted(c.compose)
+    compose = dict(c.compose)
+    for _ in range(data.draw(st.integers(1, 2))):
+        key = data.draw(st.sampled_from(keys))
+        value = data.draw(st.sampled_from((None,) + c.morphisms))
+        if value is None:
+            compose.pop(key, None)
+        else:
+            compose[key] = value
+    broken = FinCat(c.objects, c.morphisms, c.src, c.tgt, c.identity, compose)
+    report = validate_category(broken)
+    found = [v for v in report.violations if v[0] == "associativity"]
+    assert found == associativity_violations(broken)
 
 
 def _brute_force_functors(dom: FinCat, cod: FinCat):

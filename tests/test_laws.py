@@ -18,6 +18,12 @@ def test_unknown_family_is_rejected():
         run_laws(default_scope(), families=("made-up",))
 
 
+def test_a_run_that_checks_nothing_is_not_ok():
+    result = run_laws(default_scope(), families=())
+    assert result.cases == ()
+    assert not result.ok
+
+
 def test_family_selection_limits_cases():
     result = run_laws(default_scope(), families=("factorisation",))
     assert result.cases

@@ -10,7 +10,6 @@ from deltalens.kernel import (
     ContractError,
     FinFunctor,
     InputError,
-    compose_functors,
     identity_functor,
 )
 from deltalens.lens import (

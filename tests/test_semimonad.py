@@ -13,7 +13,7 @@ from deltalens.kernel import (
     counit_inclusion,
     identity_functor,
 )
-from deltalens.lens import DeltaLens, LiftingTable, identity_lens
+from deltalens.lens import DeltaLens, LiftingTable
 from deltalens.search import enumerate_jr_algebras, enumerate_lens_structures
 from deltalens.semimonad import (
     JrAlgebra,
