@@ -52,6 +52,8 @@ from .lens import (
 from .semimonad import (
     JPresentation,
     JrAlgebra,
+    _collapse,
+    _layered_report,
     j_object,
     j_square,
     jr_from_lens,
@@ -353,16 +355,7 @@ def mu(f: FinFunctor) -> FinFunctor:
     """Collapse one tower level: E(rf of f) -> Ef."""
     ef = e_object(f)
     upper = e_object(ef.rf)
-    B = f.cod
-    obj_map: dict[str, str] = {}
-    for x2, (x, u2) in upper.j.obj_pairs.items():
-        a, u = ef.obj_pairs[x]
-        obj_map[x2] = ef.j.id_of[(a, B.compose[(u2, u)])]
-    mor_map: dict[str, str] = {}
-    for m2, (x, u2, v) in upper.j.mor_parts.items():
-        a, u = ef.obj_pairs[x]
-        mor_map[m2] = ef.j.id_of[(a, B.compose[(u2, u)], v)]
-    on_j = FinFunctor(upper.j.j, ef.e, obj_map, mor_map)
+    on_j = FinFunctor(upper.j.j, ef.e, *_collapse(upper.j, ef.j))
     out = copair(upper, identity_functor(ef.e), on_j)
     if not same_functor(compose_functors(ef.rf, out), upper.rf):
         raise InternalInvariantError("collapse does not live over the base")
@@ -377,45 +370,39 @@ def validate_monad(
 ) -> ValidationReport:
     """Check the monad laws at f, optionally against a supplied
     multiplication and naturality squares into other functors."""
-    v: list[tuple] = []
     ef = e_object(f)
     upper = e_object(ef.rf)
     m = mu(f) if mu_f is None else mu_f
     if not same_cat(m.dom, upper.e) or not same_cat(m.cod, ef.e):
         raise InputError("multiplication boundary does not match the tower")
+    one = identity_functor(ef.e)
+    eta = lambda: e_square(CommutingSquare(f, ef.rf, ef.lf, identity_functor(f.cod)))
+    collapse = lambda: e_square(CommutingSquare(upper.rf, ef.rf, m, identity_functor(f.cod)))
 
-    ok_so_far = True
-    if not validate_functor(m).ok:
-        v.append(("mu-functor",))
-        ok_so_far = False
-    elif not same_functor(compose_functors(ef.rf, m), upper.rf):
-        v.append(("rf-after-mu",))
-        ok_so_far = False
-
-    if ok_so_far:
-        if not same_functor(compose_functors(m, upper.lf), identity_functor(ef.e)):
-            v.append(("mu-unit-left",))
-        eta = CommutingSquare(f, ef.rf, ef.lf, identity_functor(f.cod))
-        if not same_functor(compose_functors(m, e_square(eta)), identity_functor(ef.e)):
-            v.append(("mu-unit-right",))
-        collapse_sq = CommutingSquare(upper.rf, ef.rf, m, identity_functor(f.cod))
-        lhs = compose_functors(m, e_square(collapse_sq))
-        rhs = compose_functors(m, mu(ef.rf))
-        if not same_functor(lhs, rhs):
-            v.append(("mu-associativity",))
-
-    canonical = m if ok_so_far else mu(f)
-    for i, sq in enumerate(squares):
-        if not same_functor(sq.left, f):
-            raise InputError("naturality square does not start at the functor under test")
-        eg = e_object(sq.right)
+    def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
         inner = e_square(sq)
-        outer = e_square(CommutingSquare(ef.rf, eg.rf, inner, sq.bottom))
-        if not same_functor(
-            compose_functors(inner, canonical), compose_functors(mu(sq.right), outer)
-        ):
-            v.append(("mu-naturality", i))
-    return ValidationReport.from_violations(v)
+        outer = e_square(CommutingSquare(ef.rf, e_object(sq.right).rf, inner, sq.bottom))
+        return same_functor(
+            compose_functors(inner, trusted), compose_functors(mu(sq.right), outer)
+        )
+
+    return _layered_report(
+        (
+            ("mu-functor", lambda: validate_functor(m).ok),
+            ("rf-after-mu", lambda: same_functor(compose_functors(ef.rf, m), upper.rf)),
+        ),
+        (
+            ("mu-unit-left", lambda: same_functor(compose_functors(m, upper.lf), one)),
+            ("mu-unit-right", lambda: same_functor(compose_functors(m, eta()), one)),
+            ("mu-associativity", lambda: same_functor(
+                compose_functors(m, collapse()), compose_functors(m, mu(ef.rf)))),
+        ),
+        f=f,
+        squares=squares,
+        supplied=m,
+        canonical=lambda: mu(f),
+        naturality=("mu-naturality", natural),
+    )
 
 
 # -- algebras -----------------------------------------------------------------
@@ -437,21 +424,21 @@ class RAlgebra:
 
 
 def validate_r_algebra(alg: RAlgebra) -> ValidationReport:
-    v: list[tuple] = []
     f, p = alg.functor, alg.structure
     ef = e_object(f)
-    if not validate_functor(p).ok:
-        return ValidationReport.from_violations([("structure-functor",)])
-    if not same_functor(compose_functors(f, p), ef.rf):
-        return ValidationReport.from_violations([("strictness",)])
-    if not same_functor(compose_functors(p, ef.lf), identity_functor(f.dom)):
-        v.append(("unit",))
-    collapse_sq = CommutingSquare(ef.rf, f, p, identity_functor(f.cod))
-    lhs = compose_functors(p, e_square(collapse_sq))
-    rhs = compose_functors(p, mu(f))
-    if not same_functor(lhs, rhs):
-        v.append(("multiplication",))
-    return ValidationReport.from_violations(v)
+    collapse = lambda: e_square(CommutingSquare(ef.rf, f, p, identity_functor(f.cod)))
+    return _layered_report(
+        (
+            ("structure-functor", lambda: validate_functor(p).ok),
+            ("strictness", lambda: same_functor(compose_functors(f, p), ef.rf)),
+        ),
+        (
+            ("unit", lambda: same_functor(
+                compose_functors(p, ef.lf), identity_functor(f.dom))),
+            ("multiplication", lambda: same_functor(
+                compose_functors(p, collapse()), compose_functors(p, mu(f)))),
+        ),
+    )
 
 
 def r_algebra_from_jr(alg: JrAlgebra) -> RAlgebra:
@@ -553,46 +540,41 @@ def validate_comonad(
 ) -> ValidationReport:
     """Check the comonad laws at f, optionally against a supplied
     comultiplication and naturality squares out of other functors."""
-    v: list[tuple] = []
     ef = e_object(f)
     el = e_object(ef.lf)
     c = _comonad_raw(f).comultiplication if comultiplication is None else comultiplication
     if not same_cat(c.dom, ef.e) or not same_cat(c.cod, el.e):
         raise InputError("comultiplication boundary does not match the tower")
+    one = identity_functor(ef.e)
+    counit = lambda: e_square(CommutingSquare(ef.lf, f, identity_functor(f.dom), ef.rf))
+    split = lambda: e_square(CommutingSquare(ef.lf, el.lf, identity_functor(f.dom), c))
 
-    ok_so_far = True
-    if not validate_functor(c).ok:
-        v.append(("comultiplication-functor",))
-        ok_so_far = False
-    elif not same_functor(compose_functors(c, ef.lf), el.lf):
-        v.append(("delta-square",))
-        ok_so_far = False
-
-    if ok_so_far:
-        if not same_functor(compose_functors(el.rf, c), identity_functor(ef.e)):
-            v.append(("counit-left",))
-        counit = CommutingSquare(ef.lf, f, identity_functor(f.dom), ef.rf)
-        if not same_functor(compose_functors(e_square(counit), c), identity_functor(ef.e)):
-            v.append(("counit-right",))
-        split_sq = CommutingSquare(ef.lf, el.lf, identity_functor(f.dom), c)
-        lhs = compose_functors(_comonad_raw(ef.lf).comultiplication, c)
-        rhs = compose_functors(e_square(split_sq), c)
-        if not same_functor(lhs, rhs):
-            v.append(("coassociativity",))
-
-    canonical = c if ok_so_far else _comonad_raw(f).comultiplication
-    for i, sq in enumerate(squares):
-        if not same_functor(sq.left, f):
-            raise InputError("naturality square does not start at the functor under test")
-        eg = e_object(sq.right)
+    def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
         inner = e_square(sq)
-        lifted = CommutingSquare(ef.lf, eg.lf, sq.top, inner)
-        if not same_functor(
+        lifted = CommutingSquare(ef.lf, e_object(sq.right).lf, sq.top, inner)
+        return same_functor(
             compose_functors(_comonad_raw(sq.right).comultiplication, inner),
-            compose_functors(e_square(lifted), canonical),
-        ):
-            v.append(("delta-naturality", i))
-    return ValidationReport.from_violations(v)
+            compose_functors(e_square(lifted), trusted),
+        )
+
+    return _layered_report(
+        (
+            ("comultiplication-functor", lambda: validate_functor(c).ok),
+            ("delta-square", lambda: same_functor(compose_functors(c, ef.lf), el.lf)),
+        ),
+        (
+            ("counit-left", lambda: same_functor(compose_functors(el.rf, c), one)),
+            ("counit-right", lambda: same_functor(compose_functors(counit(), c), one)),
+            ("coassociativity", lambda: same_functor(
+                compose_functors(_comonad_raw(ef.lf).comultiplication, c),
+                compose_functors(split(), c))),
+        ),
+        f=f,
+        squares=squares,
+        supplied=c,
+        canonical=lambda: _comonad_raw(f).comultiplication,
+        naturality=("delta-naturality", natural),
+    )
 
 
 def validate_distributive_law(
@@ -603,24 +585,22 @@ def validate_distributive_law(
 ) -> ValidationReport:
     """Check that the split of a collapse agrees with the collapse of a
     split, the one exchange law not already forced by the (co)monads."""
-    v: list[tuple] = []
     ef = e_object(f)
     m = mu(f) if mu_f is None else mu_f
     c = _comonad_raw(f).comultiplication if comultiplication is None else comultiplication
     erf = e_object(ef.rf)
     elf = e_object(ef.lf)
-    if not same_functor(compose_functors(elf.rf, c), compose_functors(m, erf.lf)):
-        v.append(("square",))
-        return ValidationReport.from_violations(v)
-    exchange = CommutingSquare(erf.lf, elf.rf, c, m)
-    lhs = compose_functors(c, m)
-    rhs = compose_functors(
-        mu(ef.lf),
-        compose_functors(e_square(exchange), _comonad_raw(ef.rf).comultiplication),
+    exchange = lambda: e_square(CommutingSquare(erf.lf, elf.rf, c, m))
+    return _layered_report(
+        (("square", lambda: same_functor(
+            compose_functors(elf.rf, c), compose_functors(m, erf.lf))),),
+        (("coherence", lambda: same_functor(
+            compose_functors(c, m),
+            compose_functors(
+                mu(ef.lf),
+                compose_functors(exchange(), _comonad_raw(ef.rf).comultiplication),
+            ))),),
     )
-    if not same_functor(lhs, rhs):
-        v.append(("coherence",))
-    return ValidationReport.from_violations(v)
 
 
 # -- coalgebras and lifting ---------------------------------------------------

@@ -341,6 +341,10 @@ def cmd_laws(args, ws: Workspace) -> int:
     if not result.cases:
         print("suite: nothing checked")
         return 1
+    if result.ok and result.skipped:
+        skipped, pairs = len(result.skipped), len(scope.fixtures) ** 2
+        print(f"suite: partial, {skipped} of {pairs} fixture pairs skipped by the guard")
+        return 0
     print("suite: " + ("ok" if result.ok else "FAILED"))
     return 0 if result.ok else 1
 
@@ -494,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ws = build_workspace(args.corpus, args.guard)
         return _COMMANDS[args.command](args, ws)
-    except (InputError, GuardExceededError) as exc:
+    except (InputError, GuardExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractError as exc:

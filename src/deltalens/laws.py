@@ -19,6 +19,7 @@ from .kernel import (
     FinFunctor,
     GuardExceededError,
     InputError,
+    ValidationReport,
     compose_functors,
     counit_inclusion,
     enumerate_functors,
@@ -197,6 +198,23 @@ def _report_case(family: str, subject: str, report) -> LawCase:
     return LawCase(family, subject, report.ok, report.violations[:8])
 
 
+def _guarded_cases(family: str, items, check) -> list[LawCase]:
+    """One case per named item, from `check(item)`: a verdict or a
+    `ValidationReport`.  An exception it raises becomes a failing case
+    whose witness names the error."""
+    cases = []
+    for name, item in items:
+        try:
+            out = check(item)
+        except Exception as exc:
+            out = ValidationReport.from_violations([("error", str(exc))])
+        if isinstance(out, ValidationReport):
+            cases.append(_report_case(family, name, out))
+        else:
+            cases.append(LawCase(family, name, out))
+    return cases
+
+
 def _fixture_cases(scope: LawScope) -> list[LawCase]:
     cases = [
         _report_case("fixtures", name, validate_category(scope.fixtures[name]))
@@ -208,16 +226,14 @@ def _fixture_cases(scope: LawScope) -> list[LawCase]:
     return cases
 
 
-def _factorisation_cases(scope, functors) -> list[LawCase]:
-    cases = []
-    for name, fun in functors:
-        try:
-            parts = comprehensive_factorise(fun)
-            ok = is_initial(parts.e) and is_discrete_opfibration(parts.m)
-            ok = ok and compose_functors(parts.m, parts.e) == fun
-            cases.append(LawCase("factorisation", name, ok))
-        except Exception as exc:
-            cases.append(LawCase("factorisation", name, False, (("error", str(exc)),)))
+def _factorises(fun: FinFunctor) -> bool:
+    parts = comprehensive_factorise(fun)
+    ok = is_initial(parts.e) and is_discrete_opfibration(parts.m)
+    return ok and compose_functors(parts.m, parts.e) == fun
+
+
+def _factorisation_cases(functors) -> list[LawCase]:
+    cases = _guarded_cases("factorisation", functors, _factorises)
     by_key: dict[tuple, list[tuple[str, FinFunctor]]] = {}
     for name, fun in functors:
         by_key.setdefault(fun.dom.key, []).append((name, fun))
@@ -241,90 +257,44 @@ def _factorisation_cases(scope, functors) -> list[LawCase]:
     return cases
 
 
-def _orthogonality_cases(scope, squares) -> list[LawCase]:
-    cases = []
-    for name, sq in squares:
-        if not (is_initial(sq.left) and is_discrete_opfibration(sq.right)):
-            continue
-        try:
-            d = orthogonal_lift(sq)
-            ok = (
-                compose_functors(d, sq.left) == sq.top
-                and compose_functors(sq.right, d) == sq.bottom
-            )
-            cases.append(LawCase("orthogonality", name, ok))
-        except Exception as exc:
-            cases.append(LawCase("orthogonality", name, False, (("error", str(exc)),)))
-    return cases
+def _lifts(sq: CommutingSquare) -> bool:
+    d = orthogonal_lift(sq)
+    return compose_functors(d, sq.left) == sq.top and compose_functors(sq.right, d) == sq.bottom
 
 
-def _group_squares(functors, squares):
+def _orthogonality_cases(squares) -> list[LawCase]:
+    liftable = [
+        (name, sq)
+        for name, sq in squares
+        if is_initial(sq.left) and is_discrete_opfibration(sq.right)
+    ]
+    return _guarded_cases("orthogonality", liftable, _lifts)
+
+
+def _round_trips(l: DeltaLens) -> bool:
+    rt = lens_from_jr(jr_from_lens(l))
+    rt2 = r_algebra_to_lens(lens_to_r_algebra(l))
+    pres = lambda_presentation(l)
+    ok = rt.lifts == l.lifts and rt2.lifts == l.lifts
+    return ok and lens_from_lambda(pres, l.functor).lifts == l.lifts
+
+
+def _group_squares(squares) -> dict[tuple, tuple[CommutingSquare, ...]]:
     by_left: dict[tuple, list[CommutingSquare]] = {}
     for _, sq in squares:
         by_left.setdefault(sq.left.key, []).append(sq)
-    return by_left
+    return {key: tuple(sqs) for key, sqs in by_left.items()}
 
 
-def _semimonad_cases(scope, functors, squares) -> list[LawCase]:
-    by_left = _group_squares(functors, squares)
-    cases = []
-    for name, fun in functors:
-        sqs = tuple(by_left.get(fun.key, ()))
-        cases.append(
-            _report_case("semimonad", name, validate_semimonad(fun, squares=sqs))
-        )
-    return cases
-
-
-def _free_lens_cases(scope, functors) -> list[LawCase]:
-    cases = []
-    for name, fun in functors:
-        try:
-            cases.append(_report_case("free-lens", name, validate_lens(free_lens(fun))))
-        except Exception as exc:
-            cases.append(LawCase("free-lens", name, False, (("error", str(exc)),)))
-    return cases
-
-
-def _lens_algebra_cases(scope, lenses) -> list[LawCase]:
-    cases = []
-    for name, l in lenses:
-        try:
-            rt = lens_from_jr(jr_from_lens(l))
-            ok = rt.lifts == l.lifts
-            rt2 = r_algebra_to_lens(lens_to_r_algebra(l))
-            ok = ok and rt2.lifts == l.lifts
-            pres = lambda_presentation(l)
-            ok = ok and lens_from_lambda(pres, l.functor).lifts == l.lifts
-            cases.append(LawCase("lens-algebra", name, ok))
-        except Exception as exc:
-            cases.append(LawCase("lens-algebra", name, False, (("error", str(exc)),)))
-    return cases
-
-
-def _monad_cases(scope, functors, squares) -> list[LawCase]:
-    by_left = _group_squares(functors, squares)
+def _square_family_cases(family: str, validate, functors, by_left) -> list[LawCase]:
+    """One case per functor: `validate` at it with its naturality squares."""
     return [
-        _report_case(
-            "monad", name, validate_monad(fun, squares=tuple(by_left.get(fun.key, ())))
-        )
+        _report_case(family, name, validate(fun, squares=by_left.get(fun.key, ())))
         for name, fun in functors
     ]
 
 
-def _comonad_cases(scope, functors, squares) -> list[LawCase]:
-    by_left = _group_squares(functors, squares)
-    return [
-        _report_case(
-            "comonad",
-            name,
-            validate_comonad(fun, squares=tuple(by_left.get(fun.key, ()))),
-        )
-        for name, fun in functors
-    ]
-
-
-def _distributive_cases(scope, functors) -> list[LawCase]:
+def _distributive_cases(functors) -> list[LawCase]:
     return [
         _report_case("distributive", name, validate_distributive_law(fun))
         for name, fun in functors
@@ -342,32 +312,21 @@ def _tower_inputs(scope) -> list[tuple[str, FinFunctor]]:
     return out
 
 
+_TOWER_CHECKS = (
+    ("monad@rf", lambda ef: validate_monad(ef.rf)),
+    ("comonad@lf", lambda ef: validate_comonad(ef.lf)),
+    ("distributive@rf", lambda ef: validate_distributive_law(ef.rf)),
+    ("distributive@lf", lambda ef: validate_distributive_law(ef.lf)),
+)
+
+
 def _tower_cases(scope) -> list[LawCase]:
-    cases = []
-    for name, fun in _tower_inputs(scope):
-        ef = e_object(fun)
-        cases.append(_report_case("tower", f"monad@rf:{name}", validate_monad(ef.rf)))
-        cases.append(_report_case("tower", f"comonad@lf:{name}", validate_comonad(ef.lf)))
-        cases.append(
-            _report_case("tower", f"distributive@rf:{name}", validate_distributive_law(ef.rf))
-        )
-        cases.append(
-            _report_case("tower", f"distributive@lf:{name}", validate_distributive_law(ef.lf))
-        )
-    return cases
-
-
-def _coalgebra_cases(scope, functors) -> list[LawCase]:
-    cases = []
-    for name, fun in functors:
-        try:
-            coalg = cofree_coalgebra(fun)
-            cases.append(
-                _report_case("coalgebra", f"cofree:{name}", validate_l_coalgebra(coalg))
-            )
-        except Exception as exc:
-            cases.append(LawCase("coalgebra", f"cofree:{name}", False, (("error", str(exc)),)))
-    return cases
+    """The (co)monad and distributive checks on the legs of each tower input."""
+    return [
+        _report_case("tower", f"{label}:{name}", check(e_object(fun)))
+        for name, fun in _tower_inputs(scope)
+        for label, check in _TOWER_CHECKS
+    ]
 
 
 def run_laws(
@@ -387,19 +346,25 @@ def run_laws(
         {"orthogonality", "semimonad", "monad", "comonad"} & set(wanted)
     ) else []
     lenses = corpus_lenses(scope, functors) if "lens-algebra" in wanted else []
+    by_left = _group_squares(squares)
 
     builders = {
         "fixtures": lambda: _fixture_cases(scope),
-        "factorisation": lambda: _factorisation_cases(scope, functors),
-        "orthogonality": lambda: _orthogonality_cases(scope, squares),
-        "semimonad": lambda: _semimonad_cases(scope, functors, squares),
-        "free-lens": lambda: _free_lens_cases(scope, functors),
-        "lens-algebra": lambda: _lens_algebra_cases(scope, lenses),
-        "monad": lambda: _monad_cases(scope, functors, squares),
-        "comonad": lambda: _comonad_cases(scope, functors, squares),
-        "distributive": lambda: _distributive_cases(scope, functors),
+        "factorisation": lambda: _factorisation_cases(functors),
+        "orthogonality": lambda: _orthogonality_cases(squares),
+        "semimonad": lambda: _square_family_cases("semimonad", validate_semimonad, functors, by_left),
+        "free-lens": lambda: _guarded_cases(
+            "free-lens", functors, lambda fun: validate_lens(free_lens(fun))),
+        "lens-algebra": lambda: _guarded_cases("lens-algebra", lenses, _round_trips),
+        "monad": lambda: _square_family_cases("monad", validate_monad, functors, by_left),
+        "comonad": lambda: _square_family_cases("comonad", validate_comonad, functors, by_left),
+        "distributive": lambda: _distributive_cases(functors),
         "tower": lambda: _tower_cases(scope),
-        "coalgebra": lambda: _coalgebra_cases(scope, functors),
+        "coalgebra": lambda: _guarded_cases(
+            "coalgebra",
+            [(f"cofree:{name}", fun) for name, fun in functors],
+            lambda fun: validate_l_coalgebra(cofree_coalgebra(fun)),
+        ),
     }
     order = [fam for fam in FAMILIES if fam in wanted]
     if seed is not None:

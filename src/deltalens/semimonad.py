@@ -14,6 +14,7 @@ delta lenses, realised here by `jr_from_lens` and `lens_from_jr`.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .kernel import (
@@ -153,11 +154,10 @@ def j_square(sq: CommutingSquare) -> FinFunctor:
     return out
 
 
-def nu(f: FinFunctor) -> FinFunctor:
-    """Collapse stacked extensions: the multiplication J(t of f) -> Jf."""
-    base = j_object(f)
-    upper = j_object(base.t)
-    B = f.cod
+def _collapse(upper: JPresentation, base: JPresentation) -> tuple[dict, dict]:
+    """Object and morphism maps of a multiplication: a stacked extension
+    (x, u2) of x = (a, u1) in `base` goes to the extension (a, u2.u1)."""
+    B = base.t.cod
     obj_map: dict[str, str] = {}
     for x2, (x, u2) in upper.obj_pairs.items():
         a, u1 = base.obj_pairs[x]
@@ -166,12 +166,64 @@ def nu(f: FinFunctor) -> FinFunctor:
     for m2, (x, u2, v) in upper.mor_parts.items():
         a, u1 = base.obj_pairs[x]
         mor_map[m2] = base.id_of[(a, B.compose[(u2, u1)], v)]
-    out = FinFunctor(upper.j, base.j, obj_map, mor_map)
+    return obj_map, mor_map
+
+
+@memo_by_key
+def nu(f: FinFunctor) -> FinFunctor:
+    """Collapse stacked extensions: the multiplication J(t of f) -> Jf."""
+    base = j_object(f)
+    upper = j_object(base.t)
+    out = FinFunctor(upper.j, base.j, *_collapse(upper, base))
     if not validate_functor(out).ok:
         raise InternalInvariantError("multiplication is not a functor")
     if not same_functor(compose_functors(base.t, out), upper.t):
         raise InternalInvariantError("multiplication does not live over the base")
     return out
+
+
+def _j_over_base(pres: JPresentation, top_obj: dict[str, str]) -> FinFunctor:
+    """The coslice map J(pres.t) -> pres induced by an object map out of
+    the domain of pres.t that keeps the base fixed."""
+    base = {m: m for m in pres.t.cod.morphisms}
+    return _raw_j_square(j_object(pres.t), pres, top_obj, base)
+
+
+_Checks = Sequence[tuple[str, Callable[[], bool]]]
+
+
+def _layered_report(
+    structure: _Checks,
+    laws: _Checks,
+    *,
+    f: FinFunctor | None = None,
+    squares: tuple[CommutingSquare, ...] = (),
+    supplied: FinFunctor | None = None,
+    canonical: Callable[[], FinFunctor] | None = None,
+    naturality: tuple[str, Callable[[CommutingSquare, FinFunctor], bool]] | None = None,
+) -> ValidationReport:
+    """The report of the layered check shared by the (co)monad, the
+    distributive law and the algebra validators.
+
+    structure   (name, holds) pairs run in order: the first that fails is
+                the one structure violation, and the laws are skipped
+    laws        (name, holds) pairs: every one that fails is reported
+    squares     naturality squares out of f, each reported as (name, i)
+                when `naturality`'s predicate fails on it with the
+                trusted multiplication: `supplied` when every structure
+                check held, else `canonical()`
+
+    A square that does not start at f is an `InputError`.
+    """
+    if any(not same_functor(sq.left, f) for sq in squares):
+        raise InputError("naturality square does not start at the functor under test")
+    broken = next((name for name, holds in structure if not holds()), None)
+    v: list[tuple] = [(broken,)] if broken else [(name,) for name, holds in laws if not holds()]
+    if squares:
+        name, natural = naturality
+        trusted = canonical() if broken else supplied
+        v.extend((name, i) for i, sq in enumerate(squares) if not natural(sq, trusted))
+    return ValidationReport.from_violations(v)
 
 
 def validate_semimonad(
@@ -181,46 +233,38 @@ def validate_semimonad(
     nu_f: FinFunctor | None = None,
 ) -> ValidationReport:
     """Check the semi-monad laws at f, optionally against a supplied
-    multiplication and naturality squares into other functors.
-
-    Checks are layered: a multiplication that is not even a functor over
-    the base short-circuits the unit and associativity comparisons.
-    """
-    v: list[tuple] = []
+    multiplication and naturality squares into other functors."""
     base = j_object(f)
     upper = j_object(base.t)
     n = nu(f) if nu_f is None else nu_f
     if not same_cat(n.dom, upper.j) or not same_cat(n.cod, base.j):
         raise InputError("multiplication boundary does not match the coslice tower")
 
-    if not validate_functor(n).ok:
-        v.append(("nu-functor",))
-    elif not same_functor(compose_functors(base.t, n), upper.t):
-        v.append(("nu-over-base",))
-    else:
-        unit = compose_functors(n, upper.s)
-        if not same_functor(unit, counit_inclusion(base.j)):
-            v.append(("nu-unit",))
-        top = j_object(upper.t)
-        ident_b = {m: m for m in f.cod.morphisms}
-        lhs = compose_functors(n, nu(base.t))
-        rhs = compose_functors(n, _raw_j_square(top, upper, n.obj_map, ident_b))
-        if not same_functor(lhs, rhs):
-            v.append(("nu-associativity",))
-
-    for i, sq in enumerate(squares):
-        if not same_functor(sq.left, f):
-            raise InputError("naturality square does not start at the functor under test")
+    def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
         inner = j_square(sq)
-        outer = j_square(
-            CommutingSquare(base.t, j_object(sq.right).t, inner, sq.bottom)
+        outer = j_square(CommutingSquare(base.t, j_object(sq.right).t, inner, sq.bottom))
+        return same_functor(
+            compose_functors(inner, trusted), compose_functors(nu(sq.right), outer)
         )
-        if not same_functor(
-            compose_functors(inner, n if validate_functor(n).ok else nu(f)),
-            compose_functors(nu(sq.right), outer),
-        ):
-            v.append(("nu-naturality", i))
-    return ValidationReport.from_violations(v)
+
+    return _layered_report(
+        (
+            ("nu-functor", lambda: validate_functor(n).ok),
+            ("nu-over-base", lambda: same_functor(compose_functors(base.t, n), upper.t)),
+        ),
+        (
+            ("nu-unit", lambda: same_functor(
+                compose_functors(n, upper.s), counit_inclusion(base.j))),
+            ("nu-associativity", lambda: same_functor(
+                compose_functors(n, nu(base.t)),
+                compose_functors(n, _j_over_base(upper, n.obj_map)))),
+        ),
+        f=f,
+        squares=squares,
+        supplied=n,
+        canonical=lambda: nu(f),
+        naturality=("nu-naturality", natural),
+    )
 
 
 @dataclass(frozen=True)
@@ -241,22 +285,21 @@ class JrAlgebra:
 def validate_jr_algebra(alg: JrAlgebra) -> ValidationReport:
     """Check the algebra laws: strictness over the base, unit, and
     compatibility with the multiplication."""
-    v: list[tuple] = []
     f, p = alg.functor, alg.structure
     pres = j_object(f)
-    if not validate_functor(p).ok:
-        return ValidationReport.from_violations([("structure-functor",)])
-    if not same_functor(compose_functors(f, p), pres.t):
-        return ValidationReport.from_violations([("strictness",)])
-    if not same_functor(compose_functors(p, pres.s), counit_inclusion(f.dom)):
-        v.append(("unit",))
-    upper = j_object(pres.t)
-    ident_b = {m: m for m in f.cod.morphisms}
-    lhs = compose_functors(p, _raw_j_square(upper, pres, p.obj_map, ident_b))
-    rhs = compose_functors(p, nu(f))
-    if not same_functor(lhs, rhs):
-        v.append(("multiplication",))
-    return ValidationReport.from_violations(v)
+    return _layered_report(
+        (
+            ("structure-functor", lambda: validate_functor(p).ok),
+            ("strictness", lambda: same_functor(compose_functors(f, p), pres.t)),
+        ),
+        (
+            ("unit", lambda: same_functor(
+                compose_functors(p, pres.s), counit_inclusion(f.dom))),
+            ("multiplication", lambda: same_functor(
+                compose_functors(p, _j_over_base(pres, p.obj_map)),
+                compose_functors(p, nu(f)))),
+        ),
+    )
 
 
 def validate_jr_morphism(sq: CommutingSquare, alg1: JrAlgebra, alg2: JrAlgebra) -> ValidationReport:

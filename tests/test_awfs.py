@@ -20,7 +20,7 @@ from deltalens.kernel import (
 )
 from deltalens.lens import identity_lens, validate_lens
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
-from deltalens.semimonad import j_object, j_square, jr_from_lens
+from deltalens.semimonad import j_object, j_square, jr_from_lens, nu, validate_semimonad
 from deltalens.awfs import (
     EfId,
     EfKindI,
@@ -123,6 +123,57 @@ def test_corrupted_multiplication_is_reported():
     report = validate_monad(fun, mu_f=bad)
     assert not report.ok
     assert report.violations[0][0] in ("mu-functor", "rf-after-mu")
+
+
+def _retarget_one_morphism(good):
+    """The corruption of the test_corrupted_* tests: one non-identity
+    morphism sent to an identity, which breaks functoriality."""
+    mor_map = dict(good.mor_map)
+    k = next(m for m in mor_map if not good.dom.is_identity(m))
+    mor_map[k] = good.cod.identity[good.cod.tgt[mor_map[k]]]
+    return FinFunctor(good.dom, good.cod, dict(good.obj_map), mor_map)
+
+
+def _constant(good):
+    """A functor that sends everything to one object: functorial, but
+    not over the base."""
+    x = good.cod.objects[-1]
+    return FinFunctor(
+        good.dom,
+        good.cod,
+        {o: x for o in good.dom.objects},
+        {m: good.cod.identity[x] for m in good.dom.morphisms},
+    )
+
+
+@pytest.mark.parametrize(
+    "validate, keyword, canonical, structure",
+    [
+        (validate_semimonad, "nu_f", nu, ("nu-functor", "nu-over-base")),
+        (validate_monad, "mu_f", mu, ("mu-functor", "rf-after-mu")),
+        (
+            validate_comonad,
+            "comultiplication",
+            lambda f: comonad_data(f).comultiplication,
+            ("comultiplication-functor", "delta-square"),
+        ),
+    ],
+    ids=["semimonad", "monad", "comonad"],
+)
+@pytest.mark.parametrize(
+    "layer, corrupt",
+    [(0, _retarget_one_morphism), (1, _constant)],
+    ids=["not-a-functor", "not-over-the-base"],
+)
+def test_naturality_is_checked_against_the_trusted_multiplication(
+    corpus_sqs, validate, keyword, canonical, structure, layer, corrupt
+):
+    fun = identity_functor(CORPUS["interval"])
+    squares = tuple(sq for _, sq in corpus_sqs if sq.left.key == fun.key)
+    assert squares
+    bad = corrupt(canonical(fun))
+    report = validate(fun, squares=squares, **{keyword: bad})
+    assert report.violations == ((structure[layer],),)
 
 
 def test_comultiplication_explicit_formula(corpus_funs):

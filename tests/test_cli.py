@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import deltalens
 from deltalens.cli import Workspace, cmd_laws, main
-from deltalens.kernel import DEFAULT_GUARD
+from deltalens.fixtures import CORPUS
+from deltalens.kernel import DEFAULT_GUARD, identity_functor
+from deltalens.lens import identity_lens
+from deltalens.serialization import category_to_json, functor_to_json, lens_to_json
 
 
 def run(args, capsys):
@@ -176,6 +183,13 @@ def test_laws_that_check_nothing_exit_1(capsys):
     assert capsys.readouterr().out == "suite: nothing checked\n"
 
 
+def test_tiny_guard_reports_a_partial_suite(capsys):
+    code, out, _ = run(["--guard", "1", "laws", "--families", "distributive"], capsys)
+    assert code == 0
+    assert "distributive: 9 cases, 0 failures" in out
+    assert out.splitlines()[-1] == "suite: partial, 40 of 49 fixture pairs skipped by the guard"
+
+
 def test_seed_only_shuffles_execution_order(capsys):
     code1, out1, _ = run(["laws", "--families", "fixtures,coalgebra", "--seed", "1"], capsys)
     code2, out2, _ = run(["laws", "--families", "fixtures,coalgebra", "--seed", "7"], capsys)
@@ -208,3 +222,116 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "ok: terminal" in proc.stdout
+
+
+# -- fuzzing the command line -------------------------------------------------
+
+# Each subcommand with the options it takes a value for.
+OPTIONS = {
+    "validate": (),
+    "factorise": ("--out-e", "--out-m"),
+    "jf": ("--out", "--out-s", "--out-t"),
+    "free-lens": ("--out",),
+    "lift": ("--top", "--bottom", "--left", "--right", "--coalgebra", "--lens", "--out"),
+    "laws": ("--seed",),
+    "enumerate": ("--out",),
+    "export-dot": ("--lens", "--name", "--out"),
+}
+KINDS = ("functors", "dofs", "squares", "lenses", "jr-algebras", "r-algebras", "l-coalgebras")
+REFERENCES = (
+    "id:interval", "iota:interval", "id:terminal", "s:id:interval", "t:id:interval",
+    "lf:id:interval", "rf:id:interval", "terminal", "interval", "discrete-pair",
+    "walking-iso", "jf:id:interval", "ef:id:terminal", "discrete:interval",
+    "free-lens:id:interval", "dof:iota:interval", "id-lens:terminal",
+    "cofree:id:interval", "rf:", "id:", "@file",
+)
+# Junk holds no path separator, so every file the CLI writes lands in the
+# example's own directory; "no-dir/x.json" names a missing directory.
+JUNK = st.one_of(
+    st.sampled_from(("", "-", "--", "0", "-1", "1", "50", "many", ".", "out.json", "no-dir/x.json")),
+    st.text(alphabet="ab:_.#@, 01-", max_size=6),
+)
+OUTPUTS = st.sampled_from(("out.json", ".", "", "no-dir/x.json", "@file"))
+WORDS = st.one_of(st.sampled_from(REFERENCES), st.sampled_from(REFERENCES), st.just("@file"), JUNK)
+TOKENS = st.one_of(
+    WORDS,
+    st.sampled_from(sorted(OPTIONS)),
+    st.sampled_from(KINDS),
+    st.sampled_from(sorted({o for opts in OPTIONS.values() for o in opts} | {"--help"})),
+)
+FIELDS = (
+    "objects", "morphisms", "identities", "compose", "id", "src", "tgt", "dom", "cod",
+    "on_objects", "on_morphisms", "functor", "lifts", "object", "over", "lift",
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(alphabet="ab01_", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+VALID = (
+    category_to_json(CORPUS["interval"]),
+    functor_to_json(identity_functor(CORPUS["interval"])),
+    lens_to_json(identity_lens(CORPUS["walking-iso"])),
+)
+
+
+@st.composite
+def payloads(draw):
+    """Random JSON, or a real category, functor or lens file with one
+    field, at any depth, replaced by random JSON."""
+    if draw(st.booleans()):
+        return draw(JSON)
+    payload = json.loads(json.dumps(draw(st.sampled_from(VALID))))
+    node = payload
+    while isinstance(node, dict) and node:
+        key = draw(st.sampled_from(sorted(node)))
+        if not isinstance(node[key], dict) or draw(st.booleans()):
+            node[key] = draw(JSON)
+            break
+        node = node[key]
+    return payload
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with entries and option values drawn from references
+    and junk, sometimes with a stray token or a global option."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    if command == "enumerate":
+        argv.append(draw(st.sampled_from(KINDS)))
+    entries = {"validate": (1, 3), "enumerate": (0, 3), "laws": (0, 0), "lift": (0, 0)}
+    low, high = entries.get(command, (1, 1))
+    argv += draw(st.lists(WORDS, min_size=low, max_size=high))
+    for option in draw(st.lists(st.sampled_from(OPTIONS[command]), unique=True)) if OPTIONS[command] else ():
+        argv += [option, draw(OUTPUTS if option.startswith("--out") else WORDS)]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(TOKENS))
+    if draw(st.integers(0, 3)) == 0:
+        argv = ["--guard", draw(st.sampled_from(("1", "3", "50", "0", "-1", "many")))] + argv
+    if draw(st.integers(0, 5)) == 0:
+        argv = ["--corpus", draw(st.sampled_from((".", "no-dir", "@file")))] + argv
+    if "laws" in argv:
+        argv += ["--families", "fixtures"]  # the one family that runs in seconds
+    return argv
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs(), payload=payloads())
+def test_cli_never_raises_and_exits_0_1_or_2(tmp_path_factory, argv, payload):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    path = workdir / "file.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [str(path) if token == "@file" else token for token in argv]
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit on a malformed argv
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv
