@@ -12,11 +12,17 @@ form for morphisms:
                       domain morphism w, entered along a retraction v
                       of u1 and exited along u2
 
-`copair` mediates out of the glueing, `mu` collapses one level of the
-tower, and `comonad_data` splits one open.  Algebras for the monad R
-are again exactly delta lenses; coalgebras for the comonad L are the
-functors that lift squares into lenses, realised by
-`lift_against_coalgebra`.
+Ef is a pushout, so a functor out of it is fixed by its two
+restrictions, one to the domain and one to the coslice, and `copair`
+builds it from them and checks both.  Every functor out of Ef that is
+made from other functors is such a copairing: E on squares
+(`e_square`), the collapse `mu` of one tower level, the split
+`comonad_data` that opens one, the extension of a coslice algebra
+(`r_algebra_from_jr`) and the mediator behind the diagonal of
+`lift_against_coalgebra`.  Algebras for the monad R are again exactly
+delta lenses; the free one, `free_lens`, lifts along the projection Rf
+by the morphisms of the coslice itself.  Coalgebras for the comonad L
+are the functors that lift squares into lenses.
 """
 
 from __future__ import annotations
@@ -162,9 +168,9 @@ class EfPresentation:
     rf         e -> codomain, with f = rf . lf
     alpha      coslice -> e, an inclusion on identifiers
     kinds      morphism id -> normal form
-    id_of      normal form -> morphism id, the inverse of kinds; object
-               ids are looked up in the coslice's `j.id_of`
-    obj_pairs  object id -> (a, u), shared with the coslice
+    id_of      normal form -> morphism id, the inverse of kinds; objects
+               and their pairs (a, u) are the coslice's, in `j.obj_pairs`
+               and `j.id_of`
     """
 
     functor: FinFunctor
@@ -175,7 +181,6 @@ class EfPresentation:
     alpha: FinFunctor
     kinds: dict[str, EfMorphism]
     id_of: dict[EfMorphism, str]
-    obj_pairs: dict[str, tuple[str, str]]
 
 
 def retraction_pairs(f: FinFunctor, a: str) -> list[tuple[str, str]]:
@@ -250,7 +255,7 @@ def e_object(f: FinFunctor) -> EfPresentation:
     )
     rf = FinFunctor(e, B, {x: B.tgt[u] for x, (a, u) in jp.obj_pairs.items()}, rf_map)
     alpha = FinFunctor(jp.j, e, {x: x for x in jp.j.objects}, {m: m for m in jp.j.morphisms})
-    pres = EfPresentation(f, jp, e, lf, rf, alpha, kinds, id_of, jp.obj_pairs)
+    pres = EfPresentation(f, jp, e, lf, rf, alpha, kinds, id_of)
     _verify_e(pres)
     return pres
 
@@ -284,28 +289,11 @@ def _verify_e(pres: EfPresentation) -> None:
 
 
 def e_square(sq: CommutingSquare) -> FinFunctor:
-    """Apply the factorisation to a commuting square of functors."""
+    """Apply the factorisation to a commuting square of functors: the
+    copairing of the top leg followed by Lg with the coslice image of
+    the square followed by the coslice inclusion of Eg."""
     ef, eg = e_object(sq.left), e_object(sq.right)
-    g = sq.right
-    h_obj, h_mor = sq.top.obj_map, sq.top.mor_map
-    k_mor = sq.bottom.mor_map
-    obj_map = {x: eg.j.id_of.get((h_obj[a], k_mor[u])) for x, (a, u) in ef.obj_pairs.items()}
-    mor_map: dict[str, str] = {}
-    for m, kind in ef.kinds.items():
-        if isinstance(kind, EfKindI):
-            img = _kind1(g, k_mor[kind.u1], k_mor[kind.v], h_mor[kind.w], k_mor[kind.u2])
-        elif isinstance(kind, EfKindII):
-            img = _kind2(g, h_obj[kind.a], k_mor[kind.u1], k_mor[kind.v])
-        else:
-            img = EfId(h_obj[kind.a], k_mor[kind.u])
-        mor_map[m] = eg.id_of.get(img)
-    out = FinFunctor(ef.e, eg.e, obj_map, mor_map)
-    if not validate_functor(out).ok:
-        raise InternalInvariantError("factorisation image of a square is not a functor")
-    if not same_functor(compose_functors(out, ef.lf), compose_functors(eg.lf, sq.top)):
-        raise InternalInvariantError("square image does not respect domain inclusions")
-    if not same_functor(compose_functors(out, ef.alpha), compose_functors(eg.alpha, j_square(sq))):
-        raise InternalInvariantError("square image does not respect coslice inclusions")
+    out = copair(ef, compose_functors(eg.lf, sq.top), compose_functors(eg.alpha, j_square(sq)))
     if not same_functor(compose_functors(eg.rf, out), compose_functors(sq.bottom, ef.rf)):
         raise InternalInvariantError("square image does not commute over the base")
     return out
@@ -474,13 +462,10 @@ def r_algebra_to_lens(alg: RAlgebra) -> DeltaLens:
 
 def free_lens(f: FinFunctor) -> DeltaLens:
     """The lens structure carried by the projection of the glued
-    category: extensions lift to postcompositions."""
+    category: the lift of v at (a, u) is the coslice morphism
+    (a, u) -> (a, v.u)."""
     ef = e_object(f)
-    entries = {
-        (x, u2): ef.id_of[_kind2(f, a, u, u2)]
-        for x, (a, u) in ef.obj_pairs.items()
-        for u2 in f.cod.out(f.cod.tgt[u])
-    }
+    entries = {(ef.j.j.src[m], v): m for m, (a, u, v) in ef.j.mor_parts.items()}
     l = DeltaLens(ef.rf, LiftingTable(entries))
     if not validate_lens(l).ok:
         raise InternalInvariantError("projection lifting table fails the lens laws")
@@ -503,7 +488,9 @@ class ComonadData:
 
 
 @memo_by_key
-def _comonad_raw(f: FinFunctor) -> ComonadData:
+def comonad_data(f: FinFunctor) -> ComonadData:
+    """Split one tower level open: the coslice map delta, by orthogonal
+    lifting, and the comultiplication, by copairing."""
     ef = e_object(f)
     el = e_object(ef.lf)
     delta = orthogonal_lift(
@@ -517,21 +504,6 @@ def _comonad_raw(f: FinFunctor) -> ComonadData:
     return ComonadData(delta, comult)
 
 
-@memo_by_key
-def comonad_data(f: FinFunctor) -> ComonadData:
-    """The comonad structure at f, coassociativity verified once."""
-    data = _comonad_raw(f)
-    ef = e_object(f)
-    el = e_object(ef.lf)
-    inner = _comonad_raw(ef.lf)
-    split_sq = CommutingSquare(ef.lf, el.lf, identity_functor(f.dom), data.comultiplication)
-    lhs = compose_functors(inner.comultiplication, data.comultiplication)
-    rhs = compose_functors(e_square(split_sq), data.comultiplication)
-    if not same_functor(lhs, rhs):
-        raise InternalInvariantError("split fails coassociativity")
-    return data
-
-
 def validate_comonad(
     f: FinFunctor,
     *,
@@ -542,7 +514,7 @@ def validate_comonad(
     comultiplication and naturality squares out of other functors."""
     ef = e_object(f)
     el = e_object(ef.lf)
-    c = _comonad_raw(f).comultiplication if comultiplication is None else comultiplication
+    c = comonad_data(f).comultiplication if comultiplication is None else comultiplication
     if not same_cat(c.dom, ef.e) or not same_cat(c.cod, el.e):
         raise InputError("comultiplication boundary does not match the tower")
     one = identity_functor(ef.e)
@@ -553,7 +525,7 @@ def validate_comonad(
         inner = e_square(sq)
         lifted = CommutingSquare(ef.lf, e_object(sq.right).lf, sq.top, inner)
         return same_functor(
-            compose_functors(_comonad_raw(sq.right).comultiplication, inner),
+            compose_functors(comonad_data(sq.right).comultiplication, inner),
             compose_functors(e_square(lifted), trusted),
         )
 
@@ -566,13 +538,13 @@ def validate_comonad(
             ("counit-left", lambda: same_functor(compose_functors(el.rf, c), one)),
             ("counit-right", lambda: same_functor(compose_functors(counit(), c), one)),
             ("coassociativity", lambda: same_functor(
-                compose_functors(_comonad_raw(ef.lf).comultiplication, c),
+                compose_functors(comonad_data(ef.lf).comultiplication, c),
                 compose_functors(split(), c))),
         ),
         f=f,
         squares=squares,
         supplied=c,
-        canonical=lambda: _comonad_raw(f).comultiplication,
+        canonical=lambda: comonad_data(f).comultiplication,
         naturality=("delta-naturality", natural),
     )
 
@@ -587,7 +559,7 @@ def validate_distributive_law(
     split, the one exchange law not already forced by the (co)monads."""
     ef = e_object(f)
     m = mu(f) if mu_f is None else mu_f
-    c = _comonad_raw(f).comultiplication if comultiplication is None else comultiplication
+    c = comonad_data(f).comultiplication if comultiplication is None else comultiplication
     erf = e_object(ef.rf)
     elf = e_object(ef.lf)
     exchange = lambda: e_square(CommutingSquare(erf.lf, elf.rf, c, m))
@@ -598,7 +570,7 @@ def validate_distributive_law(
             compose_functors(c, m),
             compose_functors(
                 mu(ef.lf),
-                compose_functors(exchange(), _comonad_raw(ef.rf).comultiplication),
+                compose_functors(exchange(), comonad_data(ef.rf).comultiplication),
             ))),),
     )
 
@@ -634,7 +606,7 @@ def validate_l_coalgebra(coalg: LCoalgebra) -> ValidationReport:
         v.append(("unit-square",))
         return ValidationReport.from_violations(v)
     coaction = CommutingSquare(f, ef.lf, identity_functor(f.dom), q)
-    lhs = compose_functors(_comonad_raw(f).comultiplication, q)
+    lhs = compose_functors(comonad_data(f).comultiplication, q)
     rhs = compose_functors(e_square(coaction), q)
     if not same_functor(lhs, rhs):
         v.append(("comultiplication",))

@@ -103,10 +103,44 @@ def build_workspace(corpus_dir: str | None, guard: int) -> Workspace:
     return Workspace(fixtures, broken, guard)
 
 
+_LENS_PREFIXES = ("free-lens:", "dof:", "id-lens:")
+
+
 def _checked(report: ValidationReport, what: str):
     if not report.ok:
         first = " ".join(str(p) for p in report.violations[0])
         raise InputError(f"{what} fails validation: {first}")
+
+
+def _load_entry(path: str) -> tuple[str, FinCat | FinFunctor | DeltaLens, ValidationReport]:
+    """Load a category, functor or lens file as (kind, value, report).
+
+    The checks run in stages: the categories, then the functor, then
+    the lifts, each only when the one before held, so every check sees
+    the well-formed input it needs.
+    """
+    payload = load_payload(path)
+    kind = payload_kind(payload)
+    if kind == "category":
+        value = category_from_json(payload)
+        return kind, value, validate_category(value)
+    value = functor_from_json(payload) if kind == "functor" else lens_from_json(payload)
+    fun = value if kind == "functor" else value.functor
+    report = validate_category(fun.dom).merged(validate_category(fun.cod))
+    if report.ok:
+        report = validate_functor(fun)
+    if report.ok and kind == "lens":
+        report = validate_lens(value)
+    return kind, value, report
+
+
+def _load_checked(path: str, kind: str):
+    """The value in a file that must hold a valid `kind`."""
+    found, value, report = _load_entry(path)
+    if found != kind:
+        raise InputError(f"{path} does not hold a {kind}")
+    _checked(report, f"{kind} {path}")
+    return value
 
 
 def resolve_category(ref: str, ws: Workspace) -> FinCat:
@@ -122,12 +156,7 @@ def resolve_category(ref: str, ws: Workspace) -> FinCat:
     if ref.startswith("discrete:"):
         return discrete(resolve_category(ref[9:], ws))
     if Path(ref).is_file():
-        payload = load_payload(ref)
-        if payload_kind(payload) != "category":
-            raise InputError(f"{ref} does not hold a category")
-        cat = category_from_json(payload)
-        _checked(validate_category(cat), f"category {ref}")
-        return cat
+        return _load_checked(ref, "category")
     raise InputError(f"unknown category reference: {ref!r}")
 
 
@@ -145,14 +174,7 @@ def resolve_functor(ref: str, ws: Workspace) -> FinFunctor:
     if ref.startswith("rf:"):
         return e_object(resolve_functor(ref[3:], ws)).rf
     if Path(ref).is_file():
-        payload = load_payload(ref)
-        if payload_kind(payload) != "functor":
-            raise InputError(f"{ref} does not hold a functor")
-        fun = functor_from_json(payload)
-        _checked(validate_category(fun.dom), f"domain in {ref}")
-        _checked(validate_category(fun.cod), f"codomain in {ref}")
-        _checked(validate_functor(fun), f"functor {ref}")
-        return fun
+        return _load_checked(ref, "functor")
     raise InputError(f"unknown functor reference: {ref!r}")
 
 
@@ -164,14 +186,7 @@ def resolve_lens(ref: str, ws: Workspace) -> DeltaLens:
     if ref.startswith("id-lens:"):
         return identity_lens(resolve_category(ref[8:], ws))
     if Path(ref).is_file():
-        payload = load_payload(ref)
-        if payload_kind(payload) != "lens":
-            raise InputError(f"{ref} does not hold a lens")
-        l = lens_from_json(payload)
-        _checked(validate_category(l.functor.dom), f"domain in {ref}")
-        _checked(validate_category(l.functor.cod), f"codomain in {ref}")
-        _checked(validate_lens(l), f"lens {ref}")
-        return l
+        return _load_checked(ref, "lens")
     raise InputError(f"unknown lens reference: {ref!r}")
 
 
@@ -197,31 +212,12 @@ def cmd_validate(args, ws: Workspace) -> int:
             worst = 1
             continue
         if Path(ref).is_file():
-            payload = load_payload(ref)
-            kind = payload_kind(payload)
+            kind, value, report = _load_entry(ref)
             if kind == "category":
-                value = category_from_json(payload)
-                report = validate_category(value)
                 detail = f"{len(value.objects)} objects, {len(value.morphisms)} morphisms"
             elif kind == "functor":
-                value = functor_from_json(payload)
-                report = ValidationReport.merged(
-                    validate_category(value.dom),
-                    validate_category(value.cod),
-                )
-                if report.ok:
-                    report = validate_functor(value)
                 detail = f"{len(value.obj_map)} objects mapped"
             else:
-                value = lens_from_json(payload)
-                report = ValidationReport.merged(
-                    validate_category(value.functor.dom),
-                    validate_category(value.functor.cod),
-                )
-                if report.ok:
-                    report = validate_functor(value.functor)
-                if report.ok:
-                    report = validate_lens(value)
                 detail = f"{len(value.lifts.entries)} lifts"
         elif ref in ws.fixtures or any(
             ref.startswith(p) for p in ("jf:", "ef:", "discrete:")
@@ -230,7 +226,7 @@ def cmd_validate(args, ws: Workspace) -> int:
             kind = "category"
             report = validate_category(value)
             detail = f"{len(value.objects)} objects, {len(value.morphisms)} morphisms"
-        elif any(ref.startswith(p) for p in ("free-lens:", "dof:", "id-lens:")):
+        elif ref.startswith(_LENS_PREFIXES):
             value = resolve_lens(ref, ws)
             kind = "lens"
             report = validate_lens(value)
@@ -399,15 +395,17 @@ def cmd_enumerate(args, ws: Workspace) -> int:
 
 
 def cmd_export_dot(args, ws: Workspace) -> int:
-    lens = None
-    if Path(args.entry).is_file() and payload_kind(load_payload(args.entry)) == "lens":
-        lens = resolve_lens(args.entry, ws)
-        cat = lens.functor.dom
-    elif any(args.entry.startswith(p) for p in ("free-lens:", "dof:", "id-lens:")):
-        lens = resolve_lens(args.entry, ws)
-        cat = lens.functor.dom
+    if Path(args.entry).is_file():
+        kind, value, report = _load_entry(args.entry)
+        if kind == "functor":
+            raise InputError(f"{args.entry} does not hold a category or a lens")
+        _checked(report, f"{kind} {args.entry}")
+    elif args.entry.startswith(_LENS_PREFIXES):
+        value = resolve_lens(args.entry, ws)
     else:
-        cat = resolve_category(args.entry, ws)
+        value = resolve_category(args.entry, ws)
+    lens = value if isinstance(value, DeltaLens) else None
+    cat = value.functor.dom if lens else value
     if args.lens is not None:
         lens = resolve_lens(args.lens, ws)
     text = export_dot(cat, lens=lens, name=args.name)

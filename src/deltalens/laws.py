@@ -43,6 +43,7 @@ from .lens import (
     lambda_presentation,
     validate_lens,
 )
+from .search import enumerate_lens_structures
 from .semimonad import jr_from_lens, lens_from_jr, validate_semimonad
 from .awfs import (
     cofree_coalgebra,
@@ -133,7 +134,8 @@ def corpus_squares(
     scope: LawScope, functors: list[tuple[str, FinFunctor]]
 ) -> list[tuple[str, CommutingSquare]]:
     """Every commuting square between corpus functors whose four corner
-    fixtures all lie in the square sub-corpus."""
+    fixtures all lie in the square sub-corpus.  A signature pair whose
+    tops or bottoms exceed the guard is left out."""
     eligible = [
         (name, fun)
         for name, fun in functors
@@ -148,12 +150,15 @@ def corpus_squares(
     sigs = sorted(by_sig)
     for sig_f in sigs:
         for sig_g in sigs:
-            tops = enumerate_functors(
-                scope.fixtures[sig_f[0]], scope.fixtures[sig_g[0]], scope.guard
-            )
-            bottoms = enumerate_functors(
-                scope.fixtures[sig_f[1]], scope.fixtures[sig_g[1]], scope.guard
-            )
+            try:
+                tops = enumerate_functors(
+                    scope.fixtures[sig_f[0]], scope.fixtures[sig_g[0]], scope.guard
+                )
+                bottoms = enumerate_functors(
+                    scope.fixtures[sig_f[1]], scope.fixtures[sig_g[1]], scope.guard
+                )
+            except GuardExceededError:
+                continue  # `corpus_functors` lists the same fixture pair as skipped
             for fname, f in by_sig[sig_f]:
                 for gname, g in by_sig[sig_g]:
                     n = 0
@@ -173,8 +178,6 @@ def corpus_lenses(
 ) -> list[tuple[str, DeltaLens]]:
     """Identity lenses, the unique lenses on corpus discrete
     opfibrations, and small enumerated lens structures."""
-    from .search import enumerate_lens_structures
-
     out: list[tuple[str, DeltaLens]] = []
     for name in sorted(scope.fixtures):
         out.append((f"id:{name}", identity_lens(scope.fixtures[name])))

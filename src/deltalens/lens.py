@@ -24,6 +24,7 @@ from .kernel import (
     ValidationReport,
     compose_functors,
     identity_functor,
+    is_bijective_on_objects,
     lift_tag,
     same_cat,
     same_functor,
@@ -210,8 +211,6 @@ def _verify_lambda(pres: LambdaPresentation, fun: FinFunctor) -> None:
         raise InternalInvariantError("lift projection is not a functor")
     if not validate_functor(pres.over).ok:
         raise InternalInvariantError("lift projection over the base is not a functor")
-    from .kernel import is_bijective_on_objects
-
     if not is_bijective_on_objects(pres.phi):
         raise InternalInvariantError("lift projection is not bijective on objects")
     if not same_functor(compose_functors(fun, pres.phi), pres.over):
@@ -226,8 +225,6 @@ def lens_from_lambda(pres: LambdaPresentation, fun: FinFunctor) -> DeltaLens:
     Preconditions are re-checked and reported as contract errors since
     presentations may arrive from outside.
     """
-    from .kernel import is_bijective_on_objects
-
     if not validate_functor(pres.phi).ok or not validate_functor(pres.over).ok:
         raise ContractError("presentation legs are not functors")
     if not is_bijective_on_objects(pres.phi):

@@ -38,6 +38,7 @@ from .kernel import (
 from .factorization import CommutingSquare, is_discrete_opfibration, is_initial
 from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
 
+
 @dataclass(frozen=True)
 class JPresentation:
     """The coslice category of a functor with its two structure legs.

@@ -190,6 +190,14 @@ def test_tiny_guard_reports_a_partial_suite(capsys):
     assert out.splitlines()[-1] == "suite: partial, 40 of 49 fixture pairs skipped by the guard"
 
 
+@pytest.mark.parametrize("family", ["orthogonality", "semimonad", "monad", "comonad"])
+def test_tiny_guard_skips_squares_it_cannot_enumerate(family, capsys):
+    code, out, _ = run(["--guard", "3", "laws", "--families", family], capsys)
+    assert code == 0
+    assert f"{family}: " in out
+    assert out.splitlines()[-1] == "suite: partial, 33 of 49 fixture pairs skipped by the guard"
+
+
 def test_seed_only_shuffles_execution_order(capsys):
     code1, out1, _ = run(["laws", "--families", "fixtures,coalgebra", "--seed", "1"], capsys)
     code2, out2, _ = run(["laws", "--families", "fixtures,coalgebra", "--seed", "7"], capsys)
@@ -210,6 +218,25 @@ def test_export_dot_output(capsys):
     assert code == 0
     assert len([l for l in out.splitlines() if '";' in l]) == 3
     assert out.count("->") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export-dot", "@lens"],
+        ["export-dot", "interval", "--lens", "@lens"],
+        ["lift", "--coalgebra", "cofree:id:interval", "--lens", "@lens",
+         "--top", "lf:id:interval", "--bottom", "rf:id:interval"],
+    ],
+)
+def test_lens_file_with_a_malformed_functor_is_an_input_error(argv, tmp_path, capsys):
+    payload = lens_to_json(identity_lens(CORPUS["walking-iso"]))
+    del payload["functor"]["on_objects"]["0"]
+    path = tmp_path / "lens.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run([str(path) if a == "@lens" else a for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: lens ") and "obj-map-missing 0" in err
 
 
 def test_console_script_entry_point():
@@ -279,7 +306,7 @@ VALID = (
 @st.composite
 def payloads(draw):
     """Random JSON, or a real category, functor or lens file with one
-    field, at any depth, replaced by random JSON."""
+    field, at any depth, replaced by random JSON or deleted."""
     if draw(st.booleans()):
         return draw(JSON)
     payload = json.loads(json.dumps(draw(st.sampled_from(VALID))))
@@ -287,7 +314,10 @@ def payloads(draw):
     while isinstance(node, dict) and node:
         key = draw(st.sampled_from(sorted(node)))
         if not isinstance(node[key], dict) or draw(st.booleans()):
-            node[key] = draw(JSON)
+            if draw(st.integers(0, 3)) == 0:
+                del node[key]
+            else:
+                node[key] = draw(JSON)
             break
         node = node[key]
     return payload

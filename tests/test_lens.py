@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from deltalens.awfs import free_lens
 from deltalens.fixtures import CORPUS
 from deltalens.factorization import CommutingSquare, is_discrete_opfibration
 from deltalens.kernel import (
@@ -74,8 +75,6 @@ def test_identity_lift_breakage_is_reported():
 
 
 def test_chained_lift_law_violation():
-    from deltalens.awfs import free_lens
-
     wr = CORPUS["walking-retraction"]
     l = free_lens(identity_functor(wr))
     bad = _tamper(l, ("(0,1_0)", "s"), "(I,1_0,1_0,s,1_1)")

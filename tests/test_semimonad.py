@@ -9,6 +9,7 @@ from deltalens.factorization import (
 from deltalens.kernel import (
     ContractError,
     FinFunctor,
+    GuardExceededError,
     compose_functors,
     counit_inclusion,
     identity_functor,
@@ -139,8 +140,6 @@ def test_lens_algebra_round_trips(corpus_lens_list):
 
 
 def test_algebra_lens_round_trips(corpus_funs):
-    from deltalens.kernel import GuardExceededError
-
     seen = 0
     for name, fun in corpus_funs[:40]:
         try:
