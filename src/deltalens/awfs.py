@@ -1,8 +1,8 @@
 """The algebraic factorisation of a functor and its (co)monad structure.
 
-Every functor f: A -> B factors as a bijective-on-objects functor Lf
-into a category Ef of formal extensions, followed by a projection Rf
-back onto B.  Ef glues the domain A onto the coslice category Jf along
+Every functor f: A -> B factors as an initial functor Lf into a
+category Ef of formal extensions, followed by a projection Rf back onto
+B; the coslice inclusion alpha: Jf -> Ef is bijective on objects.  Ef glues the domain A onto the coslice category Jf along
 the placement of objects at identities, and has a three-way normal
 form for morphisms:
 
@@ -164,9 +164,9 @@ class EfPresentation:
     functor    the functor being factored
     j          its coslice presentation
     e          the glued category
-    lf         domain -> e, bijective on objects
+    lf         domain -> e, initial (not bijective on objects in general)
     rf         e -> codomain, with f = rf . lf
-    alpha      coslice -> e, an inclusion on identifiers
+    alpha      coslice -> e, an inclusion on identifiers, bijective on objects
     kinds      morphism id -> normal form
     id_of      normal form -> morphism id, the inverse of kinds; objects
                and their pairs (a, u) are the coslice's, in `j.obj_pairs`

@@ -186,11 +186,39 @@ class FinCat:
         return (
             self.objects,
             self.morphisms,
-            tuple(sorted(self.src.items())),
-            tuple(sorted(self.tgt.items())),
-            tuple(sorted(self.identity.items())),
-            tuple(sorted(self.compose.items())),
+            _table_key(self.src),
+            _table_key(self.tgt),
+            _table_key(self.identity),
+            _table_key(self.compose),
         )
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _category_report(self)
+
+    @cached_property
+    def generators(self) -> tuple[str, ...] | None:
+        """Sorted non-identities of a typed table whose closure under composition
+        is every morphism, or None if closing them meets a missing composite.
+        Greedy: first those no generating set lacks (no composite of non-identities)."""
+        ids, compose, src, tgt = self.identity_set, self.compose, self.src, self.tgt
+        composites = {gf for (g, f), gf in compose.items() if g not in ids and f not in ids}
+        gens: dict[str, list[str]] = {x: [] for x in self.objects}  # by source
+        reached = set(ids)
+        for m in sorted(self.nonidentity, key=composites.__contains__):
+            if m in reached:
+                continue
+            gens[src[m]].append(m)
+            todo = [m] + [compose.get((m, r), _MISSING) for r in self.by_tgt[src[m]] if r in reached]
+            while todo:
+                r = todo.pop()
+                if r is _MISSING:
+                    return None
+                if r not in reached:
+                    reached.add(r)
+                    for g in gens[tgt[r]]:
+                        todo.append(compose.get((g, r), _MISSING))
+        return tuple(sorted(itertools.chain.from_iterable(gens.values())))
 
 
 @dataclass(frozen=True, eq=True)
@@ -213,9 +241,15 @@ class FinFunctor:
         return (
             self.dom.key,
             self.cod.key,
-            tuple(sorted(self.obj_map.items())),
-            tuple(sorted(self.mor_map.items())),
+            _table_key(self.obj_map),
+            _table_key(self.mor_map),
         )
+
+
+def _table_key(table: dict) -> tuple:
+    """(sorted keys, values in that order), sharing the table's keys."""
+    keys = tuple(sorted(table))
+    return keys, tuple(map(table.__getitem__, keys))
 
 
 def same_cat(a: FinCat, b: FinCat) -> bool:
@@ -246,7 +280,11 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
 
 
 def validate_category(c: FinCat) -> ValidationReport:
-    """Check the category laws on raw tables, reporting every violation found."""
+    """Check the category laws on raw tables; memoised on `c`, which is immutable."""
+    return c._report
+
+
+def _category_report(c: FinCat) -> ValidationReport:
     v: list[Violation] = []
     obj_set = set(c.objects)
     mor_set = set(c.morphisms)
@@ -296,18 +334,18 @@ def validate_category(c: FinCat) -> ValidationReport:
             continue
         for g in out_of[c.tgt[f]]:
             composable.add((g, f))
-    pairs = sorted(composable)
 
-    for (g, f), gf in sorted(c.compose.items()):
+    bad: list[Violation] = []
+    for (g, f), gf in c.compose.items():
         if g not in mor_set or f not in mor_set or gf not in mor_set:
-            v.append(("compose-unknown", g, f, gf))
+            bad.append(("compose-unknown", g, f, gf))
         elif (g, f) not in composable:
-            v.append(("compose-not-composable", g, f))
+            bad.append(("compose-not-composable", g, f))
         elif c.src[gf] != c.src[f] or c.tgt[gf] != c.tgt[g]:
-            v.append(("composite-typing", g, f, gf))
-    for pair in pairs:
-        if pair not in c.compose:
-            v.append(("missing-composite", *pair))
+            bad.append(("composite-typing", g, f, gf))
+    v.extend(sorted(bad, key=lambda w: w[1:3]))  # one per entry, in (g, f) order
+    missing = composable.difference(c.compose)
+    v.extend(("missing-composite", *pair) for pair in sorted(missing))
 
     def comp(g: str, f: str) -> str | None:
         return c.compose.get((g, f))
@@ -329,26 +367,36 @@ def validate_category(c: FinCat) -> ValidationReport:
     for (g, f), gf in c.compose.items():
         after.setdefault(f, {})[g] = gf
     empty: dict[str, str] = {}
-    for g, f in pairs:
-        after_f = after.get(f, empty)
-        gf = after_f.get(g)
-        if gf is None:
-            continue
-        hs = out_of[c.tgt[g]]
-        after_g = after.get(g, empty)
-        left_row = list(map(after.get(gf, empty).get, hs))
-        if left_row == list(map(after_f.get, map(after_g.get, hs))):
-            continue
-        for h, left in zip(hs, left_row):
-            hg = after_g.get(h)
-            right = None if hg is None else after_f.get(hg)
-            if left is not None and right is not None and left != right:
-                v.append(("associativity", h, g, f))
+
+    def associativity(pairs):
+        for g, f in pairs:
+            after_f = after.get(f, empty)
+            gf = after_f.get(g)
+            if gf is None:
+                continue
+            hs = out_of[c.tgt[g]]
+            after_g = after.get(g, empty)
+            left_row = list(map(after.get(gf, empty).get, hs))
+            if left_row == list(map(after_f.get, map(after_g.get, hs))):
+                continue
+            for h, left in zip(hs, left_row):
+                hg = after_g.get(h)
+                right = None if hg is None else after_f.get(hg)
+                if left is not None and right is not None and left != right:
+                    yield ("associativity", h, g, f)
+
+    # Light's test: when composition is typed and total and the units hold,
+    # the middles y of associative triples hold the identities and are closed
+    # under composition, so generators as middles suffice; else sweep all.
+    gens = None if v else c.generators
+    if gens is not None and not any(associativity((g, f) for g in gens for f in c.by_tgt[c.src[g]])):
+        return ValidationReport(True, ())
+    v.extend(associativity(sorted(composable)))
     return ValidationReport.from_violations(v)
 
 
 def validate_functor(fun: FinFunctor) -> ValidationReport:
-    """Check totality and structure preservation; dom and cod are trusted."""
+    """Check totality and structure preservation; a failing map's pairs are swept in order."""
     v: list[Violation] = []
     dom, cod = fun.dom, fun.cod
     cod_objs, cod_mors = set(cod.objects), set(cod.morphisms)
@@ -376,6 +424,9 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     for x in dom.objects:
         if fun.mor_map[dom.identity[x]] != cod.identity[fun.obj_map[x]]:
             v.append(("identity-preservation", x))
+    if not v and validate_category(dom).ok and validate_category(cod).ok:
+        if _preserves_composition(dom, cod, fun.mor_map, dom.generators):
+            return ValidationReport(True, ())
     for (g, f), gf in sorted(dom.compose.items()):
         img = cod.compose.get((fun.mor_map[g], fun.mor_map[f]))
         if img is None or img != fun.mor_map[gf]:
@@ -497,6 +548,7 @@ def enumerate_functors(
         )
     found: list[FinFunctor] = []
     nonid = dom.nonidentity
+    gens = dom.generators if validate_category(dom).ok and validate_category(cod).ok else None
     for images in itertools.product(cod.objects, repeat=len(dom.objects)):
         obj_map = dict(zip(dom.objects, images))
         base = {
@@ -515,13 +567,21 @@ def enumerate_functors(
         for choice in itertools.product(*cands):
             mor_map = dict(base)
             mor_map.update(zip(nonid, choice))
-            if _preserves_composition(dom, cod, mor_map):
+            if _preserves_composition(dom, cod, mor_map, gens):
                 found.append(FinFunctor(dom, cod, dict(obj_map), mor_map))
     return found
 
 
-def _preserves_composition(dom: FinCat, cod: FinCat, mor_map: dict[str, str]) -> bool:
-    for (g, f), gf in dom.compose.items():
-        if cod.compose.get((mor_map[g], mor_map[f])) != mor_map[gf]:
-            return False
+def _preserves_composition(dom: FinCat, cod: FinCat, mor: dict[str, str], gens) -> bool:
+    """Whether a typed, identity-preserving mor keeps each g.f, for g in gens
+    or, if None, every pair.  When dom and cod are categories dom's generators
+    suffice: the g that pass hold the identities and are closed under composition."""
+    if gens is None:
+        return all(cod.compose.get((mor[g], mor[f])) == mor[gf] for (g, f), gf in dom.compose.items())
+    into, src, dom_compose, cod_compose = dom.by_tgt, dom.src, dom.compose, cod.compose
+    for g in gens:
+        mg = mor[g]
+        for f in into[src[g]]:
+            if cod_compose.get((mg, mor[f])) != mor[dom_compose[(g, f)]]:
+                return False
     return True

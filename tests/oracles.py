@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths they are checking:
 the pushout oracle builds the amalgamated category from generator words,
-the diagonal oracle searches all functors and the associativity oracle
-sweeps every triple of morphisms.
+the diagonal oracle searches all functors, the associativity and
+composition oracles sweep every triple or pair of morphisms, and the
+closure oracle composes any two reached morphisms until nothing is new.
 """
 
 from __future__ import annotations
@@ -181,3 +182,37 @@ def associativity_violations(c: FinCat) -> list[tuple]:
                 if left is not None and right is not None and left != right:
                     found.append(("associativity", h, g, f))
     return found
+
+
+def composition_violations(fun: FinFunctor) -> list[tuple]:
+    """Every ("composition-preservation", g, f) where the table of fun's
+    domain defines g.f and fun(g.f) != fun(g).fun(f), by a naive sweep over
+    all pairs of morphisms in sorted order."""
+    dom, cod, mor = fun.dom, fun.cod, fun.mor_map
+    found = []
+    for g in sorted(dom.morphisms):
+        for f in sorted(dom.morphisms):
+            if (g, f) in dom.compose:
+                image = cod.compose.get((mor[g], mor[f]))
+                if image != mor[dom.compose[(g, f)]]:
+                    found.append(("composition-preservation", g, f))
+    return found
+
+
+def composition_closure(c: FinCat, gens) -> set[str]:
+    """The identities and gens, closed under composing any two members:
+    each round composes every composable pair of what is reached so far,
+    until a round adds nothing."""
+    reached = set(c.identity.values()) | set(gens)
+    while True:
+        by_src: dict[str, list[str]] = {}
+        for m in reached:
+            by_src.setdefault(c.src[m], []).append(m)
+        new = {
+            c.compose[(g, f)]
+            for f in reached
+            for g in by_src.get(c.tgt[f], ())
+        } - reached
+        if not new:
+            return reached
+        reached |= new

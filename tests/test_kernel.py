@@ -1,12 +1,13 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import associativity_violations
+from oracles import associativity_violations, composition_closure, composition_violations
 
-from deltalens.awfs import e_object
+from deltalens.awfs import comonad_data, e_object, mu
 from deltalens.fixtures import CORPUS
 from deltalens.kernel import (
     FinCat,
@@ -22,6 +23,7 @@ from deltalens.kernel import (
     validate_category,
     validate_functor,
 )
+from deltalens.semimonad import j_object
 
 names = st.text(
     alphabet="abu01(),\\<>*_ ", min_size=1, max_size=10
@@ -111,8 +113,10 @@ def test_validate_category_unknown_identity():
     assert any(v[0] == "unknown-identity" for v in report.violations)
 
 
-def test_validate_category_broken_associativity():
-    c = FinCat(
+def _non_associative() -> FinCat:
+    """One object, a total typed table with lawful units, and
+    (a.a).a == 1 != b == a.(a.a)."""
+    return FinCat(
         objects=("x",),
         morphisms=("1", "a", "b"),
         src={"1": "x", "a": "x", "b": "x"},
@@ -127,7 +131,10 @@ def test_validate_category_broken_associativity():
             ("b", "b"): "a",
         },
     )
-    report = validate_category(c)
+
+
+def test_validate_category_broken_associativity():
+    report = validate_category(_non_associative())
     assert any(v[0] == "associativity" for v in report.violations)
 
 
@@ -155,6 +162,99 @@ def test_associativity_report_matches_naive_sweep(data):
     report = validate_category(broken)
     found = [v for v in report.violations if v[0] == "associativity"]
     assert found == associativity_violations(broken)
+
+
+def _functor_subject(kind: str, f: FinFunctor) -> FinFunctor:
+    if kind == "mu":
+        return mu(f)
+    if kind == "comultiplication":
+        return comonad_data(f).comultiplication
+    if kind == "lf":
+        return e_object(f).lf
+    if kind == "lf-depth-2":
+        return e_object(e_object(f).rf).lf
+    return f
+
+
+def _composition_found(fun: FinFunctor) -> list[tuple]:
+    return [v for v in validate_functor(fun).violations if v[0] == "composition-preservation"]
+
+
+@given(st.data())
+def test_functor_report_matches_naive_sweep(corpus_funs, data):
+    kind = data.draw(
+        st.sampled_from(("corpus", "mu", "comultiplication", "lf", "lf-depth-2", "non-associative"))
+    )
+    if kind == "non-associative":
+        # dom is no category, so only the full sweep may speak: sending a and
+        # b to e preserves every composite after the generator a, not b.a.
+        dom = _non_associative()
+        for cod in (CORPUS["idempotent-monoid"], dom):
+            (y,) = cod.objects
+            for fa, fb in itertools.product(cod.morphisms, repeat=2):
+                fun = FinFunctor(dom, cod, {"x": y}, {"1": cod.identity[y], "a": fa, "b": fb})
+                assert _composition_found(fun) == composition_violations(fun)
+        return
+    fun = _functor_subject(kind, data.draw(st.sampled_from(corpus_funs))[1])
+    cod, mor_map = fun.cod, dict(fun.mor_map)
+    for _ in range(data.draw(st.integers(1, 2))):
+        m = data.draw(st.sampled_from(fun.dom.morphisms))
+        fm = mor_map[m]
+        mor_map[m] = data.draw(st.sampled_from(cod.hom(cod.src[fm], cod.tgt[fm])))
+    broken = FinFunctor(fun.dom, cod, fun.obj_map, mor_map)
+    assert _composition_found(broken) == composition_violations(broken)
+
+
+def _pinned_depth_3(corpus_funs) -> FinCat:
+    f = dict(corpus_funs)["walking-iso->walking-iso#1"]
+    return e_object(e_object(e_object(f).lf).rf).e
+
+
+def test_generators_generate(corpus_funs):
+    subjects = list(CORPUS.items())
+    for name, f in corpus_funs:
+        subjects += [(f"J {name}", j_object(f).j), (f"E {name}", e_object(f).e)]
+    pinned = _pinned_depth_3(corpus_funs)
+    subjects.append(("pinned", pinned))
+    for name, c in subjects:
+        gens = c.generators
+        ids = set(c.identity.values())
+        assert composition_closure(c, gens) == set(c.morphisms), name
+        assert not ids & set(gens), name
+        composites = {gf for (g, f), gf in c.compose.items() if g not in ids and f not in ids}
+        assert set(c.morphisms) - ids - composites <= set(gens), name
+    assert (len(pinned.objects), len(pinned.morphisms), len(pinned.compose)) == (32, 1024, 32768)
+    assert len(pinned.generators) < len(pinned.morphisms) // 4
+
+
+def test_generators_meet_a_missing_composite():
+    d = _chain_dict()
+    del d["compose"][("a", "1_x")]
+    assert _build(d).generators is None
+
+
+@given(st.data())
+def test_keys_are_canonical(corpus_funs, data):
+    if data.draw(st.booleans()):
+        old = _assoc_subject(data.draw(st.sampled_from(sorted(CORPUS) + ["depth-2"])))
+        field = data.draw(st.sampled_from(("src", "tgt", "identity", "compose")))
+    else:
+        kind = data.draw(st.sampled_from(("corpus", "lf-depth-2")))
+        old = _functor_subject(kind, data.draw(st.sampled_from(corpus_funs))[1])
+        field = data.draw(st.sampled_from(("obj_map", "mor_map")))
+    # The copy is filled in reverse order, so only its contents can match.
+    table = dict(reversed(getattr(old, field).items()))
+    key = data.draw(st.sampled_from(sorted(table)))
+    value = data.draw(st.sampled_from(sorted(set(table.values()))))
+    edit = data.draw(st.sampled_from(("add", "remove", "change")))
+    if edit == "add":
+        table[(key[0], key[1] + "*") if isinstance(key, tuple) else key + "*"] = value
+    elif edit == "remove":
+        del table[key]
+    else:
+        table[key] = value
+    new = dataclasses.replace(old, **{field: table})
+    assert (new.key == old.key) == (new == old)
 
 
 def _brute_force_functors(dom: FinCat, cod: FinCat):

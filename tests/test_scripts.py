@@ -1,0 +1,40 @@
+"""The maintenance scripts under `scripts/` run end to end in a child
+process that imports the same package as this one."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import deltalens
+from deltalens.fixtures import CORPUS
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    path = [str(Path(deltalens.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+
+
+def test_run_laws_script_sweeps_the_fixture_family():
+    proc = _run("run_laws.py", "--families", "fixtures")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    n = str(len(CORPUS))
+    assert lines[0].split()[:5] == ["fixtures", n, "cases", "0", "failures"]
+    assert lines[-1].split() == ["total", n, "cases", "0", "failures"]
+
+
+def test_export_diagrams_script_writes_every_diagram(tmp_path):
+    proc = _run("export_diagrams.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(tmp_path.glob("*.dot"))
+    # Per fixture: the category, and J, E and the free lens of two functors.
+    assert len(written) == 7 * len(CORPUS)
+    assert proc.stdout == f"wrote {len(written)} DOT files to {tmp_path}/\n"
+    assert all(p.read_text().startswith("digraph ") for p in written)
