@@ -2,9 +2,9 @@
 
 Every functor f: A -> B factors as an initial functor Lf into a
 category Ef of formal extensions, followed by a projection Rf back onto
-B; the coslice inclusion alpha: Jf -> Ef is bijective on objects.  Ef glues the domain A onto the coslice category Jf along
-the placement of objects at identities, and has a three-way normal
-form for morphisms:
+B; the coslice inclusion alpha: Jf -> Ef is bijective on objects.  Ef
+glues the domain A onto the coslice category Jf along the placement of
+objects at identities, and has a three-way normal form for morphisms:
 
   identities          one per pair (a, u)
   postcompositions    (a, u) -> (a, v.u) for non-identity v

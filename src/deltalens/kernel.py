@@ -198,14 +198,14 @@ class FinCat:
 
     @cached_property
     def generators(self) -> tuple[str, ...] | None:
-        """Sorted non-identities of a typed table whose closure under composition
-        is every morphism, or None if closing them meets a missing composite.
-        Greedy: first those no generating set lacks (no composite of non-identities)."""
-        ids, compose, src, tgt = self.identity_set, self.compose, self.src, self.tgt
+        """Sorted non-identities whose closure under composition, from the objects'
+        identities (not stray `identity` entries), is every morphism of a typed table,
+        or None if closing meets a missing composite.  Greedy: non-composites first."""
+        ids = {self.identity[x] for x in self.objects}
+        compose, src, tgt, reached = self.compose, self.src, self.tgt, set(ids)
         composites = {gf for (g, f), gf in compose.items() if g not in ids and f not in ids}
         gens: dict[str, list[str]] = {x: [] for x in self.objects}  # by source
-        reached = set(ids)
-        for m in sorted(self.nonidentity, key=composites.__contains__):
+        for m in sorted(set(self.morphisms) - ids, key=lambda m: (m in composites, m)):
             if m in reached:
                 continue
             gens[src[m]].append(m)
@@ -424,7 +424,7 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     for x in dom.objects:
         if fun.mor_map[dom.identity[x]] != cod.identity[fun.obj_map[x]]:
             v.append(("identity-preservation", x))
-    if not v and validate_category(dom).ok and validate_category(cod).ok:
+    if not v and dom._report.ok and cod._report.ok:
         if _preserves_composition(dom, cod, fun.mor_map, dom.generators):
             return ValidationReport(True, ())
     for (g, f), gf in sorted(dom.compose.items()):
@@ -548,7 +548,7 @@ def enumerate_functors(
         )
     found: list[FinFunctor] = []
     nonid = dom.nonidentity
-    gens = dom.generators if validate_category(dom).ok and validate_category(cod).ok else None
+    gens = dom.generators if dom._report.ok and cod._report.ok else None
     for images in itertools.product(cod.objects, repeat=len(dom.objects)):
         obj_map = dict(zip(dom.objects, images))
         base = {

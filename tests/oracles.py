@@ -200,10 +200,10 @@ def composition_violations(fun: FinFunctor) -> list[tuple]:
 
 
 def composition_closure(c: FinCat, gens) -> set[str]:
-    """The identities and gens, closed under composing any two members:
-    each round composes every composable pair of what is reached so far,
-    until a round adds nothing."""
-    reached = set(c.identity.values()) | set(gens)
+    """The objects' identities and gens, closed under composing any two
+    members: each round composes every composable pair of what is reached
+    so far, until a round adds nothing."""
+    reached = {c.identity[x] for x in c.objects} | set(gens)
     while True:
         by_src: dict[str, list[str]] = {}
         for m in reached:

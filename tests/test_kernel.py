@@ -138,6 +138,34 @@ def test_validate_category_broken_associativity():
     assert any(v[0] == "associativity" for v in report.violations)
 
 
+def _stray_identity() -> FinCat:
+    """One object with identity 1, and an `identity` entry z -> a for no
+    object: (a.a).b == b != 1 == a.(a.b), a triple with middle a."""
+    return FinCat(
+        objects=("x",),
+        morphisms=("1", "a", "b"),
+        src={"1": "x", "a": "x", "b": "x"},
+        tgt={"1": "x", "a": "x", "b": "x"},
+        identity={"x": "1", "z": "a"},
+        compose={
+            ("1", "1"): "1",
+            ("1", "a"): "a", ("a", "1"): "a",
+            ("1", "b"): "b", ("b", "1"): "b",
+            ("a", "a"): "1", ("a", "b"): "a",
+            ("b", "a"): "a", ("b", "b"): "1",
+        },
+    )
+
+
+def test_stray_identity_entry_is_no_generator():
+    c = _stray_identity()
+    assert c.generators == ("a", "b")
+    report = validate_category(c)
+    assert not report.ok
+    found = [v for v in report.violations if v[0] == "associativity"]
+    assert found and found == associativity_violations(c)
+
+
 def _assoc_subject(name: str) -> FinCat:
     if name in CORPUS:
         return CORPUS[name]
@@ -188,12 +216,14 @@ def test_functor_report_matches_naive_sweep(corpus_funs, data):
     if kind == "non-associative":
         # dom is no category, so only the full sweep may speak: sending a and
         # b to e preserves every composite after the generator a, not b.a.
-        dom = _non_associative()
-        for cod in (CORPUS["idempotent-monoid"], dom):
-            (y,) = cod.objects
-            for fa, fb in itertools.product(cod.morphisms, repeat=2):
-                fun = FinFunctor(dom, cod, {"x": y}, {"1": cod.identity[y], "a": fa, "b": fb})
-                assert _composition_found(fun) == composition_violations(fun)
+        # A stray identity entry z -> a makes a look like an identity.
+        for dom in (_non_associative(), _stray_identity()):
+            for cod in (CORPUS["idempotent-monoid"], dom):
+                (y,) = cod.objects
+                for fa, fb in itertools.product(cod.morphisms, repeat=2):
+                    mor_map = {"1": cod.identity[y], "a": fa, "b": fb}
+                    fun = FinFunctor(dom, cod, {"x": y}, mor_map)
+                    assert _composition_found(fun) == composition_violations(fun)
         return
     fun = _functor_subject(kind, data.draw(st.sampled_from(corpus_funs))[1])
     cod, mor_map = fun.cod, dict(fun.mor_map)
@@ -218,7 +248,7 @@ def test_generators_generate(corpus_funs):
     subjects.append(("pinned", pinned))
     for name, c in subjects:
         gens = c.generators
-        ids = set(c.identity.values())
+        ids = {c.identity[x] for x in c.objects}
         assert composition_closure(c, gens) == set(c.morphisms), name
         assert not ids & set(gens), name
         composites = {gf for (g, f), gf in c.compose.items() if g not in ids and f not in ids}
