@@ -1,11 +1,14 @@
 """The comprehensive factorisation system on finite categories.
 
 Every functor factors as an initial functor followed by a discrete
-opfibration.  `comprehensive_factorise` builds the middle category out
-of connected components of comma categories, `orthogonal_lift` fills a
+opfibration.  Both classes are read off the pairs (a, u: fun a -> b).
+`components` puts the pairs into classes, one union-find for all b:
+fun is initial when there is exactly one class over each b, and
+`comprehensive_factorise` builds its middle category from the classes.
+`opfibration_lifts` tabulates the unique lift of each pair: fun is a
+discrete opfibration when every pair has one.  `orthogonal_lift` fills a
 commuting square whose left leg is initial and whose right leg is a
-discrete opfibration with its unique diagonal, and the two predicates
-decide membership in the two classes.
+discrete opfibration with its unique diagonal, reading both.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from .kernel import (
     FinFunctor,
     InputError,
     InternalInvariantError,
-    comma_to_object,
     compose_functors,
-    is_connected,
     memo_by_key,
     same_cat,
     same_functor,
@@ -29,32 +30,66 @@ from .kernel import (
 )
 
 
+def components(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
+    """Each pair (a, u: fun a -> b) mapped to the least pair of its class,
+    ordered by tag.
+
+    One union-find: for w: a -> a2 and u2 out of fun a2, the pair
+    (a, u2 . fun w) joins (a2, u2).  The classes over b are the connected
+    components of the comma category fun/b.
+    """
+    A, B = fun.dom, fun.cod
+    ids = {(a, u): tag(a, u) for a in A.objects for u in B.out(fun.obj_map[a])}
+    parent = {p: p for p in ids}
+
+    def find(p: tuple[str, str]) -> tuple[str, str]:
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for w in A.nonidentity:
+        a, fw = A.src[w], fun.mor_map[w]
+        for u2 in B.out(fun.obj_map[A.tgt[w]]):
+            r1, r2 = find((a, B.compose[(u2, fw)])), find((A.tgt[w], u2))
+            if r1 != r2:
+                lo, hi = (r1, r2) if ids[r1] < ids[r2] else (r2, r1)
+                parent[hi] = lo
+    return {p: find(p) for p in ids}
+
+
+def opfibration_lifts(fun: FinFunctor) -> dict[tuple[str, str], str] | None:
+    """The unique lift w: a -> a2 of each pair (a, u: fun a -> b), keyed by
+    the pair, or None when some pair has no lift or more than one.
+
+    fun must be a functor, so every w out of a lifts a pair at a.
+    """
+    lifts: dict[tuple[str, str], str] = {}
+    for a in fun.dom.objects:
+        for w in fun.dom.out(a):
+            pair = (a, fun.mor_map[w])
+            if pair in lifts:
+                return None
+            lifts[pair] = w
+    pairs = sum(len(fun.cod.out(fun.obj_map[a])) for a in fun.dom.objects)
+    return lifts if len(lifts) == pairs else None
+
+
 @memo_by_key
 def is_discrete_opfibration(fun: FinFunctor) -> bool:
     """True when every morphism out of the image of an object has exactly
     one lift with that source."""
-    for a in fun.dom.objects:
-        fa = fun.obj_map[a]
-        outgoing = fun.dom.out(a)
-        for u in fun.cod.out(fa):
-            if sum(1 for w in outgoing if fun.mor_map[w] == u) != 1:
-                return False
-    return True
+    return opfibration_lifts(fun) is not None
 
 
 @memo_by_key
 def is_initial(fun: FinFunctor) -> bool:
-    """True when every comma category fun/b is connected."""
-    return all(is_connected(comma_to_object(fun, b)) for b in fun.cod.objects)
-
-
-def is_isomorphism(fun: FinFunctor) -> bool:
-    obj = list(fun.obj_map.values())
-    mor = list(fun.mor_map.values())
-    return (
-        len(set(obj)) == len(obj) == len(fun.cod.objects)
-        and len(set(mor)) == len(mor) == len(fun.cod.morphisms)
-    )
+    """True when the pairs over each object of the codomain form one class,
+    that is, when every comma category fun/b is connected."""
+    classes = dict.fromkeys(fun.cod.objects, 0)
+    for (a, u), rep in components(fun).items():
+        classes[fun.cod.tgt[u]] += rep == (a, u)
+    return all(n == 1 for n in classes.values())
 
 
 @dataclass(frozen=True)
@@ -97,86 +132,48 @@ class Factorisation:
 
 
 def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
-    """Factor fun through the category of connected components of its commas.
+    """Factor fun through the category of classes of pairs (a, u: fun a -> b).
 
-    Middle objects are pairs (b, component of fun/b), named by the
-    lexicographically least comma object in the component.  Post
-    composition transports components, which makes the second leg a
-    discrete opfibration; the first leg lands each object in the
-    component of its own identity.
+    Middle objects are pairs (b, class over b), named by the least pair
+    of the class (`components`).  Post composition transports classes,
+    which makes the second leg a discrete opfibration; the first leg
+    lands each object in the class of its own identity.
     """
     A, B = fun.dom, fun.cod
-    pair_of = {tag(a, u): (a, u) for a in A.objects for u in B.out(fun.obj_map[a])}
-    comp_of: dict[str, dict[str, str]] = {}
-    reps: dict[str, tuple[str, ...]] = {}
-    for b in B.objects:
-        comma = comma_to_object(fun, b)
-        parent: dict[str, str] = {x: x for x in comma.objects}
+    rep_of = components(fun)
+    rep_id = {p: tag(*p) for p, rep in rep_of.items() if p == rep}
+    obj_id = {rep: tag(B.tgt[rep[1]], r) for rep, r in rep_id.items()}
 
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def transport(v: str, rep: tuple[str, str]) -> tuple[str, str]:
+        # the class of rep under post-composition by v
+        a, u = rep
+        return rep_of[(a, B.compose[(v, u)])]
 
-        for m in comma.morphisms:
-            rx, ry = find(comma.src[m]), find(comma.tgt[m])
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-        members: dict[str, list[str]] = {}
-        for x in comma.objects:
-            members.setdefault(find(x), []).append(x)
-        rep_by_obj = {x: min(ms) for r, ms in members.items() for x in ms}
-        comp_of[b] = rep_by_obj
-        reps[b] = tuple(sorted(min(ms) for ms in members.values()))
-
-    base_of = {tag(b, r): b for b in B.objects for r in reps[b]}
-    objects = tuple(base_of)
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
-    mor_parts: dict[str, tuple[str, str]] = {}
-
-    def transport(v: str, rep: str) -> str:
-        # image component of the component named rep under post-composition by v
-        a, u = pair_of[rep]
-        return comp_of[B.tgt[v]][tag(a, B.compose[(v, u)])]
-
-    for v in B.morphisms:
-        for rep in reps[B.src[v]]:
-            m = tag(v, rep)
-            src[m] = tag(B.src[v], rep)
-            tgt[m] = tag(B.tgt[v], transport(v, rep))
-            mor_parts[m] = (v, rep)
-    for b in B.objects:
-        for rep in reps[b]:
-            identity[tag(b, rep)] = tag(B.identity[b], rep)
+    mor_id = {(v, rep): tag(v, r) for rep, r in rep_id.items() for v in B.out(B.tgt[rep[1]])}
+    src = {m: obj_id[rep] for (v, rep), m in mor_id.items()}
+    tgt = {m: obj_id[transport(v, rep)] for (v, rep), m in mor_id.items()}
+    identity = {x: mor_id[(B.identity[B.tgt[rep[1]]], rep)] for rep, x in obj_id.items()}
     compose: dict[tuple[str, str], str] = {}
-    for m1, (v1, rep1) in mor_parts.items():
+    for (v1, rep1), m1 in mor_id.items():
         rep_mid = transport(v1, rep1)
         for v2 in B.out(B.tgt[v1]):
-            compose[(tag(v2, rep_mid), m1)] = tag(B.compose[(v2, v1)], rep1)
-    mid = FinCat(objects, tuple(sorted(mor_parts)), src, tgt, identity, compose)
+            compose[(mor_id[(v2, rep_mid)], m1)] = mor_id[(B.compose[(v2, v1)], rep1)]
+    mid = FinCat(tuple(obj_id.values()), tuple(mor_id.values()), src, tgt, identity, compose)
+
+    def rep_at(a: str) -> tuple[str, str]:
+        return rep_of[(a, B.identity[fun.obj_map[a]])]
 
     e = FinFunctor(
         A,
         mid,
-        {a: tag(fun.obj_map[a], comp_of[fun.obj_map[a]][tag(a, B.identity[fun.obj_map[a]])]) for a in A.objects},
-        {
-            w: tag(
-                fun.mor_map[w],
-                comp_of[fun.obj_map[A.src[w]]][
-                    tag(A.src[w], B.identity[fun.obj_map[A.src[w]]])
-                ],
-            )
-            for w in A.morphisms
-        },
+        {a: obj_id[rep_at(a)] for a in A.objects},
+        {w: mor_id[(fun.mor_map[w], rep_at(A.src[w]))] for w in A.morphisms},
     )
     m = FinFunctor(
         mid,
         B,
-        base_of,
-        {mm: v for mm, (v, _) in mor_parts.items()},
+        {x: B.tgt[rep[1]] for rep, x in obj_id.items()},
+        {mm: v for (v, _), mm in mor_id.items()},
     )
     _check(validate_functor(e).ok, "factorisation first leg is not a functor")
     _check(validate_functor(m).ok, "factorisation second leg is not a functor")
@@ -195,34 +192,24 @@ def orthogonal_lift(sq: CommutingSquare) -> FinFunctor:
     """The unique diagonal of a square with initial left leg and discrete
     opfibration right leg.
 
-    Anchors each object of the left leg's codomain at the least comma
-    object over it, follows the unique lifts on the right, then
+    Anchors each object of the left leg's codomain at the least pair of
+    the one class over it, follows the unique lifts on the right, then
     re-verifies both triangle equations and functoriality, failing loudly
     if anything is off.
     """
     if not is_initial(sq.left):
         raise ContractError("orthogonal_lift needs an initial left leg")
-    if not is_discrete_opfibration(sq.right):
+    lifts = opfibration_lifts(sq.right)
+    if lifts is None:
         raise ContractError("orthogonal_lift needs a discrete opfibration right leg")
     f, g, h, k = sq.left, sq.right, sq.top, sq.bottom
     B, C = f.cod, g.dom
-
-    def unique_lift(x: str, u: str) -> str:
-        lifts = [m for m in C.out(x) if g.mor_map[m] == u]
-        if len(lifts) != 1:
-            raise InternalInvariantError("lift not unique over a discrete opfibration")
-        return lifts[0]
-
-    d_obj: dict[str, str] = {}
-    for b in B.objects:
-        anchor = min(
-            (tag(a, beta), a, beta)
-            for a in f.dom.objects
-            for beta in B.hom(f.obj_map[a], b)
-        )
-        _, a, beta = anchor
-        d_obj[b] = C.tgt[unique_lift(h.obj_map[a], k.mor_map[beta])]
-    d_mor = {v: unique_lift(d_obj[B.src[v]], k.mor_map[v]) for v in B.morphisms}
+    d_obj = {
+        B.tgt[beta]: C.tgt[lifts[(h.obj_map[a], k.mor_map[beta])]]
+        for (a, beta), rep in components(f).items()
+        if rep == (a, beta)
+    }
+    d_mor = {v: lifts[(d_obj[B.src[v]], k.mor_map[v])] for v in B.morphisms}
     d = FinFunctor(B, C, d_obj, d_mor)
     _check(validate_functor(d).ok, "orthogonal lift is not a functor")
     _check(same_functor(compose_functors(d, f), h), "orthogonal lift misses the top triangle")

@@ -457,17 +457,6 @@ def counit_inclusion(c: FinCat) -> FinFunctor:
     return FinFunctor(d, c, {x: x for x in d.objects}, {m: m for m in d.morphisms})
 
 
-def discrete_restriction(fun: FinFunctor) -> FinFunctor:
-    """The object part of a functor, as a functor between discrete categories."""
-    d_dom, d_cod = discrete(fun.dom), discrete(fun.cod)
-    return FinFunctor(
-        d_dom,
-        d_cod,
-        dict(fun.obj_map),
-        {fun.dom.identity[x]: fun.cod.identity[fun.obj_map[x]] for x in fun.dom.objects},
-    )
-
-
 def is_bijective_on_objects(fun: FinFunctor) -> bool:
     images = list(fun.obj_map.values())
     return len(images) == len(set(images)) and set(images) == set(fun.cod.objects)
@@ -475,7 +464,10 @@ def is_bijective_on_objects(fun: FinFunctor) -> bool:
 
 def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
     """The comma category fun/b: objects (a, u: fun a -> b), morphisms w with
-    u' after fun w = u.  Identifiers are tags over the constituent ids."""
+    u' after fun w = u.  Identifiers are tags over the constituent ids.
+
+    The factorisation reads its classes off `factorization.components`
+    instead; this full table is the reference construction to check them."""
     if b not in fun.cod.objects:
         raise InputError(f"unknown object: {b}")
     A, B = fun.dom, fun.cod
@@ -510,25 +502,6 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
             w2, u3 = mor_parts[m2]
             compose[(m2, m1)] = mor_id[(A.compose[(w2, w1)], u3)]
     return FinCat(tuple(obj_id.values()), tuple(morphisms), src, tgt, identity, compose)
-
-
-def is_connected(c: FinCat) -> bool:
-    """Connectivity of the underlying undirected graph; empty is not connected."""
-    if not c.objects:
-        return False
-    adj: dict[str, set[str]] = {x: set() for x in c.objects}
-    for m in c.morphisms:
-        adj[c.src[m]].add(c.tgt[m])
-        adj[c.tgt[m]].add(c.src[m])
-    seen = {c.objects[0]}
-    frontier = [c.objects[0]]
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == len(c.objects)
 
 
 def enumerate_functors(

@@ -30,7 +30,7 @@ from .kernel import (
     same_functor,
     validate_functor,
 )
-from .factorization import CommutingSquare, is_discrete_opfibration
+from .factorization import CommutingSquare, is_discrete_opfibration, opfibration_lifts
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,10 @@ def validate_lens(l: DeltaLens) -> ValidationReport:
 
 def lens_from_discrete_opfibration(fun: FinFunctor) -> DeltaLens:
     """The unique lens structure on a discrete opfibration."""
-    if not is_discrete_opfibration(fun):
+    lifts = opfibration_lifts(fun)
+    if lifts is None:
         raise ContractError("functor is not a discrete opfibration")
-    entries: dict[tuple[str, str], str] = {}
-    for a, u in lens_pairs(fun):
-        entries[(a, u)] = next(
-            w for w in fun.dom.out(a) if fun.mor_map[w] == u
-        )
-    l = DeltaLens(fun, LiftingTable(entries))
+    l = DeltaLens(fun, LiftingTable(lifts))
     if not validate_lens(l).ok:
         raise InternalInvariantError("opfibration lifting table fails the lens laws")
     return l
@@ -229,18 +225,13 @@ def lens_from_lambda(pres: LambdaPresentation, fun: FinFunctor) -> DeltaLens:
         raise ContractError("presentation legs are not functors")
     if not is_bijective_on_objects(pres.phi):
         raise ContractError("presentation is not bijective on objects")
-    if not is_discrete_opfibration(pres.over):
+    lifts = opfibration_lifts(pres.over)
+    if lifts is None:
         raise ContractError("presentation is not a discrete opfibration over the base")
     if not same_functor(compose_functors(fun, pres.phi), pres.over):
         raise ContractError("presentation does not present this functor")
     inv_obj = {v: k for k, v in pres.phi.obj_map.items()}
-    entries: dict[tuple[str, str], str] = {}
-    for a, u in lens_pairs(fun):
-        x = inv_obj[a]
-        lifts = [m for m in pres.lam.out(x) if pres.over.mor_map[m] == u]
-        if len(lifts) != 1:
-            raise InternalInvariantError("presentation lift is not unique")
-        entries[(a, u)] = pres.phi.mor_map[lifts[0]]
+    entries = {(a, u): pres.phi.mor_map[lifts[(inv_obj[a], u)]] for a, u in lens_pairs(fun)}
     l = DeltaLens(fun, LiftingTable(entries))
     if not validate_lens(l).ok:
         raise InternalInvariantError("rebuilt lifting table fails the lens laws")

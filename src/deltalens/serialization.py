@@ -75,6 +75,8 @@ def category_from_json(d) -> FinCat:
             and all(isinstance(x, str) for x in row),
             f"compose entry {row!r} must be a list [g, f, gf] of strings",
         )
+        if (row[0], row[1]) in compose:
+            raise InputError(f"compose has more than one entry for {row[:2]!r}")
         compose[(row[0], row[1])] = row[2]
     return FinCat(tuple(objs), tuple(ids), src, tgt, identity, compose)
 
@@ -127,6 +129,8 @@ def lens_from_json(d) -> DeltaLens:
             isinstance(a, str) and isinstance(u, str) and isinstance(m, str),
             "lift fields must be strings",
         )
+        if (a, u) in entries:
+            raise InputError(f"lens has more than one lift for {[a, u]!r}")
         entries[(a, u)] = m
     return DeltaLens(fun, LiftingTable(entries))
 

@@ -3,8 +3,10 @@
 These deliberately avoid the production code paths they are checking:
 the pushout oracle builds the amalgamated category from generator words,
 the diagonal oracle searches all functors, the associativity and
-composition oracles sweep every triple or pair of morphisms, and the
-closure oracle composes any two reached morphisms until nothing is new.
+composition oracles sweep every triple or pair of morphisms, the
+closure oracle composes any two reached morphisms until nothing is new,
+connectivity walks the underlying graph, and an isomorphism is a
+functor bijective on objects and on morphisms.
 """
 
 from __future__ import annotations
@@ -216,3 +218,32 @@ def composition_closure(c: FinCat, gens) -> set[str]:
         if not new:
             return reached
         reached |= new
+
+
+def is_connected(c: FinCat) -> bool:
+    """Connectivity of the underlying undirected graph; empty is not connected."""
+    if not c.objects:
+        return False
+    adj: dict[str, set[str]] = {x: set() for x in c.objects}
+    for m in c.morphisms:
+        adj[c.src[m]].add(c.tgt[m])
+        adj[c.tgt[m]].add(c.src[m])
+    seen = {c.objects[0]}
+    frontier = [c.objects[0]]
+    while frontier:
+        x = frontier.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == len(c.objects)
+
+
+def is_isomorphism(fun: FinFunctor) -> bool:
+    """Whether the object and morphism maps are bijections onto the codomain."""
+    obj = list(fun.obj_map.values())
+    mor = list(fun.mor_map.values())
+    return (
+        len(set(obj)) == len(obj) == len(fun.cod.objects)
+        and len(set(mor)) == len(mor) == len(fun.cod.morphisms)
+    )

@@ -18,7 +18,7 @@ from deltalens.kernel import (
     identity_functor,
     tag,
 )
-from deltalens.lens import compose_lenses, identity_lens, validate_lens
+from deltalens.lens import compose_lenses, identity_lens, lens_pairs, validate_lens
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
 from deltalens.semimonad import j_object, j_square, jr_from_lens, nu, validate_semimonad
 from deltalens.awfs import (
@@ -337,6 +337,32 @@ def test_iterated_lifting_matches_lens_composition(corpus_lens_list):
             coalg, l1,
         )
         assert two_step == direct
+
+
+def test_chosen_lifts_are_lifts_against_the_generic_coalgebra(corpus_lens_list):
+    # The point 0: 1 -> 2 carries one L-coalgebra and the point 1 none; a square
+    # from 0 into a lens picks a and v out of f a, and its diagonal sends u to
+    # the chosen lift of v at a.
+    term, iv = CORPUS["terminal"], CORPUS["interval"]
+    at0 = FinFunctor(term, iv, {"*": "0"}, {"1_*": "1_0"})
+    at1 = FinFunctor(term, iv, {"*": "1"}, {"1_*": "1_1"})
+    assert enumerate_l_coalgebras(at1) == []
+    (generic,) = enumerate_l_coalgebras(at0)
+    assert len(corpus_lens_list) == 46
+    cases = 0
+    for name, l in corpus_lens_list:
+        f = l.functor
+        A, B = f.dom, f.cod
+        for a, v in lens_pairs(f):
+            fa, b = f.obj_map[a], B.tgt[v]
+            top = FinFunctor(term, A, {"*": a}, {"1_*": A.identity[a]})
+            bottom = FinFunctor(
+                iv, B, {"0": fa, "1": b}, {"1_0": B.identity[fa], "1_1": B.identity[b], "u": v}
+            )
+            d = lift_against_coalgebra(CommutingSquare(at0, f, top, bottom), generic, l)
+            assert d.mor_map["u"] == l.lift(a, v), (name, a, v)
+            cases += 1
+    assert cases == 96
 
 
 def test_lift_boundary_mismatch_is_an_error():

@@ -239,6 +239,28 @@ def test_lens_file_with_a_malformed_functor_is_an_input_error(argv, tmp_path, ca
     assert err.startswith("error: lens ") and "obj-map-missing 0" in err
 
 
+def test_repeated_compose_row_or_lift_is_an_input_error(tmp_path, capsys):
+    # Either e.e row alone gives a lawful category (Z/2 or an idempotent),
+    # so only the loader can catch the repeat.
+    cat = {
+        "objects": ["x"],
+        "morphisms": [{"id": "1", "src": "x", "tgt": "x"}, {"id": "e", "src": "x", "tgt": "x"}],
+        "identities": {"x": "1"},
+        "compose": [["1", "1", "1"], ["1", "e", "e"], ["e", "1", "e"], ["e", "e", "1"], ["e", "e", "e"]],
+    }
+    lens = lens_to_json(identity_lens(CORPUS["interval"]))
+    lens["lifts"].append(dict(lens["lifts"][0], lift="u"))
+    for name, payload, message in (
+        ("cat.json", cat, "compose has more than one entry for ['e', 'e']"),
+        ("lens.json", lens, "lens has more than one lift for ['0', '1_0']"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        code, out, err = run(["validate", str(path)], capsys)
+        assert code == 2, name
+        assert out == "" and err.startswith("error: ") and message in err, name
+
+
 def test_console_script_entry_point():
     # The child imports the same package as this process, installed or not.
     path = [str(Path(deltalens.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -1,24 +1,31 @@
 import pytest
 
-from oracles import brute_force_diagonals
+from oracles import brute_force_diagonals, is_connected, is_isomorphism
 
+from deltalens.awfs import comonad_data, e_object, mu
 from deltalens.fixtures import CORPUS
 from deltalens.factorization import (
     CommutingSquare,
+    components,
     comprehensive_factorise,
     is_discrete_opfibration,
     is_initial,
-    is_isomorphism,
+    opfibration_lifts,
     orthogonal_lift,
 )
 from deltalens.kernel import (
     ContractError,
+    FinCat,
     FinFunctor,
     InputError,
+    comma_to_object,
     compose_functors,
     counit_inclusion,
     identity_functor,
+    tag,
+    validate_functor,
 )
+from deltalens.semimonad import j_object
 
 
 def test_identity_is_initial_and_opfibration():
@@ -122,3 +129,71 @@ def test_class_closure_under_composition(corpus_funs):
                 assert is_discrete_opfibration(comp)
             seen += 1
     assert seen > 50
+
+
+def _corpus_and_structure_legs(corpus_funs):
+    """Each corpus functor with the structure functors built from it."""
+    out = []
+    for _, f in corpus_funs:
+        jp, ef, parts = j_object(f), e_object(f), comprehensive_factorise(f)
+        out += [f, jp.s, jp.t, ef.lf, ef.rf, ef.alpha, counit_inclusion(f.dom), mu(f)]
+        out += [comonad_data(f).comultiplication, parts.e, parts.m]
+    return out
+
+
+def _naive_lifts(fun):
+    """Every (a, u) with its one lift, by scanning all of dom.out(a) for
+    each pair, or None when some pair has no lift or more than one."""
+    lifts = {}
+    for a in fun.dom.objects:
+        for u in fun.cod.out(fun.obj_map[a]):
+            ws = [w for w in fun.dom.out(a) if fun.mor_map[w] == u]
+            if len(ws) != 1:
+                return None
+            lifts[(a, u)] = ws[0]
+    return lifts
+
+
+def test_classes_and_lifts_match_comma_categories_and_a_naive_sweep(corpus_funs):
+    funs = _corpus_and_structure_legs(corpus_funs)
+    assert len(funs) == 1375
+    initial = lifted = 0
+    for i, fun in enumerate(funs):
+        rep = {tag(*p): tag(*r) for p, r in components(fun).items()}
+        connected = True
+        for b in fun.cod.objects:
+            comma = comma_to_object(fun, b)
+            connected = connected and is_connected(comma)
+            # The classes over b are the components of fun/b, named by their least object.
+            for m in comma.morphisms:
+                assert rep[comma.src[m]] == rep[comma.tgt[m]], i
+            for r in {rep[x] for x in comma.objects}:
+                objs = tuple(x for x in comma.objects if rep[x] == r)
+                mors = tuple(m for m in comma.morphisms if rep[comma.src[m]] == r)
+                assert r == min(objs), i
+                assert is_connected(FinCat(objs, mors, comma.src, comma.tgt, {}, {})), i
+        assert is_initial(fun) == connected, i
+        naive = _naive_lifts(fun)
+        assert opfibration_lifts(fun) == naive, i
+        assert is_discrete_opfibration(fun) == (naive is not None), i
+        initial += connected
+        lifted += naive is not None
+    assert (initial, lifted) == (864, 535)
+
+
+def test_coslice_is_the_middle_of_the_counit_factorisation(corpus_funs):
+    # Jf is the middle of f . epsilon, whose domain is discrete, so each pair
+    # (a, u) is a class of its own and names the middle object over tgt u.
+    for name, f in corpus_funs:
+        jf = j_object(f)
+        parts = comprehensive_factorise(compose_functors(f, counit_inclusion(f.dom)))
+        iso = FinFunctor(
+            jf.j,
+            parts.mid,
+            {x: tag(f.cod.tgt[u], x) for x, (a, u) in jf.obj_pairs.items()},
+            {m: tag(v, tag(a, u)) for m, (a, u, v) in jf.mor_parts.items()},
+        )
+        assert validate_functor(iso).ok, name
+        assert is_isomorphism(iso), name
+        assert compose_functors(parts.m, iso) == jf.t, name
+        assert compose_functors(iso, jf.s) == parts.e, name
