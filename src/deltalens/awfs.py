@@ -28,6 +28,7 @@ are the functors that lift squares into lenses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import (
     ContractError,
@@ -69,18 +70,21 @@ from .semimonad import (
 
 
 # -- morphism normal forms ---------------------------------------------------
+#
+# Normal forms are named tuples, so the id map hashes and compares them in C
+# rather than through generated dataclass methods.  Each kind has its own
+# arity (2, 3 and 4 fields), so no two kinds are ever equal as tuples;
+# `e_object` still checks that `id_of` inverts `kinds` exactly.
 
 
-@dataclass(frozen=True)
-class EfId:
+class EfId(NamedTuple):
     """The identity at (a, u)."""
 
     a: str
     u: str
 
 
-@dataclass(frozen=True)
-class EfKindII:
+class EfKindII(NamedTuple):
     """Postcomposition (a, u1) -> (a, v.u1) by a non-identity v."""
 
     a: str
@@ -88,8 +92,7 @@ class EfKindII:
     v: str
 
 
-@dataclass(frozen=True)
-class EfKindI:
+class EfKindI(NamedTuple):
     """Crossing (a1, u1) -> (a2, u2): enter along a retraction v of u1,
     cross through the non-identity w: a1 -> a2, exit along u2."""
 
@@ -122,13 +125,13 @@ def ef_base_image(f: FinFunctor, m: EfMorphism) -> str:
 
 
 def _kind2(f: FinFunctor, a: str, u1: str, v: str) -> EfMorphism:
-    if f.cod.is_identity(v):
+    if v in f.cod.identity_set:
         return EfId(a, u1)
     return EfKindII(a, u1, v)
 
 
 def _kind1(f: FinFunctor, u1: str, v: str, w: str, u2: str) -> EfMorphism:
-    if f.dom.is_identity(w):
+    if w in f.dom.identity_set:
         return _kind2(f, f.dom.src[w], u1, f.cod.compose[(u2, v)])
     return EfKindI(u1, v, w, u2)
 
@@ -145,11 +148,11 @@ def compose_ef(f: FinFunctor, m2: EfMorphism, m1: EfMorphism) -> EfMorphism:
     if isinstance(m2, EfId):
         return m1
     B = f.cod
-    if isinstance(m1, EfKindII) and isinstance(m2, EfKindII):
-        return _kind2(f, m1.a, m1.u1, B.compose[(m2.v, m1.v)])
-    if isinstance(m1, EfKindII) and isinstance(m2, EfKindI):
+    if isinstance(m1, EfKindII):
+        if isinstance(m2, EfKindII):
+            return _kind2(f, m1.a, m1.u1, B.compose[(m2.v, m1.v)])
         return _kind1(f, m1.u1, B.compose[(m2.v, m1.v)], m2.w, m2.u2)
-    if isinstance(m1, EfKindI) and isinstance(m2, EfKindII):
+    if isinstance(m2, EfKindII):
         return _kind1(f, m1.u1, m1.v, m1.w, B.compose[(m2.v, m1.u2)])
     return _kind1(f, m1.u1, m1.v, f.dom.compose[(m2.w, m1.w)], m2.u2)
 
@@ -218,19 +221,22 @@ def e_object(f: FinFunctor) -> EfPresentation:
                 src[m] = jp.id_of[(a1, u1)]
                 tgt[m] = jp.id_of[(a2, u2)]
     id_of = {k: m for m, k in kinds.items()}
+    if len(id_of) != len(kinds):
+        raise InternalInvariantError("two morphisms share a normal form")
     identity = dict(jp.j.identity)
     rf_map = {m: ef_base_image(f, k) for m, k in kinds.items()}
 
-    out_of: dict[str, list[str]] = {x: [] for x in jp.j.objects}
-    for m in kinds:
-        out_of[src[m]].append(m)
+    out_of: dict[str, list[tuple[str, EfMorphism, str]]] = {x: [] for x in jp.j.objects}
+    for m, k in kinds.items():
+        out_of[src[m]].append((m, k, rf_map[m]))
     compose: dict[tuple[str, str], str] = {}
+    base_compose = B.compose
     for m1, k1 in kinds.items():
         base1 = rf_map[m1]
-        for m2 in out_of[tgt[m1]]:
-            rid = id_of.get(compose_ef(f, kinds[m2], k1))
+        for m2, k2, base2 in out_of[tgt[m1]]:
+            rid = id_of.get(compose_ef(f, k2, k1))
             compose[(m2, m1)] = rid
-            if rf_map.get(rid) != B.compose[(rf_map[m2], base1)]:
+            if rf_map.get(rid) != base_compose[(base2, base1)]:
                 raise InternalInvariantError("composition does not project onto the base")
 
     e = FinCat(jp.j.objects, tuple(kinds), src, tgt, identity, compose)
@@ -309,9 +315,13 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
         raise InputError("copair legs do not start at the glueing feet")
     if not same_cat(on_a.cod, on_j.cod):
         raise InputError("copair legs do not share a codomain")
-    if not same_functor(
-        compose_functors(on_j, pres.j.s),
-        compose_functors(on_a, counit_inclusion(A)),
+    # The two legs restricted to the discrete category on A: equal values
+    # on each object a and on its identity.
+    placed = pres.j.s
+    if any(
+        on_j.obj_map[placed.obj_map[a]] != on_a.obj_map[a]
+        or on_j.mor_map[placed.mor_map[A.identity[a]]] != on_a.mor_map[A.identity[a]]
+        for a in A.objects
     ):
         raise ContractError("copair legs disagree on placed objects")
     X = on_a.cod

@@ -85,7 +85,7 @@ def tag(*parts: str) -> str:
     Constructions call this once per object or morphism they create and
     afterwards look the identifier up by its parts.
     """
-    return "(" + ",".join(_escape(p) for p in parts) + ")"
+    return "(" + ",".join(map(_escape, parts)) + ")"
 
 
 def lift_tag(obj: str, over: str) -> str:
@@ -328,43 +328,45 @@ def _category_report(c: FinCat) -> ValidationReport:
     for m in c.morphisms:
         if m in typed:
             out_of[c.src[m]].append(m)
-    composable: set[tuple[str, str]] = set()
-    for f in c.morphisms:
-        if f not in typed:
-            continue
-        for g in out_of[c.tgt[f]]:
-            composable.add((g, f))
 
+    # Each entry on its own: known ids, a composable key, a typed composite.
+    src, tgt, compose = c.src, c.tgt, c.compose
     bad: list[Violation] = []
-    for (g, f), gf in c.compose.items():
+    for (g, f), gf in compose.items():
         if g not in mor_set or f not in mor_set or gf not in mor_set:
             bad.append(("compose-unknown", g, f, gf))
-        elif (g, f) not in composable:
+        elif g not in typed or f not in typed or src[g] != tgt[f]:
             bad.append(("compose-not-composable", g, f))
-        elif c.src[gf] != c.src[f] or c.tgt[gf] != c.tgt[g]:
+        elif src.get(gf) != src[f] or tgt.get(gf) != tgt[g]:
             bad.append(("composite-typing", g, f, gf))
     v.extend(sorted(bad, key=lambda w: w[1:3]))  # one per entry, in (g, f) order
-    missing = composable.difference(c.compose)
-    v.extend(("missing-composite", *pair) for pair in sorted(missing))
 
-    def comp(g: str, f: str) -> str | None:
-        return c.compose.get((g, f))
+    # Totality by counting: with no bad entry every key is a composable pair,
+    # and the keys are distinct, so as many keys as composable pairs means
+    # every pair has a composite.  Only otherwise are the pairs listed.
+    def composable() -> set[tuple[str, str]]:
+        return {(g, f) for f in typed for g in out_of[tgt[f]]}
+
+    if bad or len(compose) != sum(len(out_of[tgt[f]]) for f in typed):
+        missing = composable().difference(compose)
+        v.extend(("missing-composite", *pair) for pair in sorted(missing))
 
     for f in c.morphisms:
         if f not in typed:
             continue
-        i_src, i_tgt = c.identity.get(c.src[f]), c.identity.get(c.tgt[f])
-        if i_src in idents and comp(f, i_src) is not None and comp(f, i_src) != f:
+        i_src, i_tgt = c.identity.get(src[f]), c.identity.get(tgt[f])
+        if i_src in idents and compose.get((f, i_src), f) != f:
             v.append(("right-unit", f))
-        if i_tgt in idents and comp(i_tgt, f) is not None and comp(i_tgt, f) != f:
+        if i_tgt in idents and compose.get((i_tgt, f), f) != f:
             v.append(("left-unit", f))
 
     # Associativity a row at a time: for a composable (g, f), the row of
-    # h.(g.f) over every h out of tgt g against the row of (h.g).f, where
-    # after[x][h] is h after x.  Equal rows hold no violation; a row that
-    # differs is walked h by h, where a missing composite skips the triple.
+    # h.(g.f) against the row of (h.g).f over the h with h.g defined, the
+    # keys of after[g], where after[x][h] is h after x.  Equal rows hold no
+    # violation; a row that differs is walked h by h out of tgt g, where a
+    # missing composite skips the triple.
     after: dict[str, dict[str, str]] = {}
-    for (g, f), gf in c.compose.items():
+    for (g, f), gf in compose.items():
         after.setdefault(f, {})[g] = gf
     empty: dict[str, str] = {}
 
@@ -374,13 +376,11 @@ def _category_report(c: FinCat) -> ValidationReport:
             gf = after_f.get(g)
             if gf is None:
                 continue
-            hs = out_of[c.tgt[g]]
-            after_g = after.get(g, empty)
-            left_row = list(map(after.get(gf, empty).get, hs))
-            if left_row == list(map(after_f.get, map(after_g.get, hs))):
+            after_g, after_gf = after.get(g, empty), after.get(gf, empty)
+            if list(map(after_gf.get, after_g)) == list(map(after_f.get, after_g.values())):
                 continue
-            for h, left in zip(hs, left_row):
-                hg = after_g.get(h)
+            for h in out_of[c.tgt[g]]:
+                hg, left = after_g.get(h), after_gf.get(h)
                 right = None if hg is None else after_f.get(hg)
                 if left is not None and right is not None and left != right:
                     yield ("associativity", h, g, f)
@@ -391,7 +391,7 @@ def _category_report(c: FinCat) -> ValidationReport:
     gens = None if v else c.generators
     if gens is not None and not any(associativity((g, f) for g in gens for f in c.by_tgt[c.src[g]])):
         return ValidationReport(True, ())
-    v.extend(associativity(sorted(composable)))
+    v.extend(associativity(sorted(composable())))
     return ValidationReport.from_violations(v)
 
 

@@ -156,12 +156,27 @@ def save_payload(path: str, payload) -> None:
         fh.write(canonical_dumps(payload))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a repeated key, which `json` would
+    otherwise resolve silently by keeping the last value."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen: set[str] = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise InputError(f"a JSON object repeats the key {k!r}")
+            seen.add(k)
+    return out
+
+
 def load_payload(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 

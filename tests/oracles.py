@@ -2,8 +2,8 @@
 
 These deliberately avoid the production code paths they are checking:
 the pushout oracle builds the amalgamated category from generator words,
-the diagonal oracle searches all functors, the associativity and
-composition oracles sweep every triple or pair of morphisms, the
+the diagonal oracle searches all functors, the associativity, totality
+and composition oracles sweep every triple or pair of morphisms, the
 closure oracle composes any two reached morphisms until nothing is new,
 connectivity walks the underlying graph, and an isomorphism is a
 functor bijective on objects and on morphisms.
@@ -184,6 +184,38 @@ def associativity_violations(c: FinCat) -> list[tuple]:
                 if left is not None and right is not None and left != right:
                     found.append(("associativity", h, g, f))
     return found
+
+
+def totality_violations(c: FinCat) -> list[tuple]:
+    """Every compose-unknown, compose-not-composable, composite-typing and
+    missing-composite violation, by a naive sweep over all ordered pairs
+    (g, f) of morphisms and of ids named by the table's keys: first the
+    bad entries, then the composable pairs without one, each in (g, f)
+    order."""
+    objects, morphisms = set(c.objects), set(c.morphisms)
+    names = sorted(morphisms | {x for pair in c.compose for x in pair})
+
+    def typed(m):
+        return c.src.get(m) in objects and c.tgt.get(m) in objects
+
+    def composable(g, f):
+        return typed(g) and typed(f) and c.src[g] == c.tgt[f]
+
+    bad, missing = [], []
+    for g in names:
+        for f in names:
+            if (g, f) not in c.compose:
+                if composable(g, f):
+                    missing.append(("missing-composite", g, f))
+                continue
+            gf = c.compose[(g, f)]
+            if not {g, f, gf} <= morphisms:
+                bad.append(("compose-unknown", g, f, gf))
+            elif not composable(g, f):
+                bad.append(("compose-not-composable", g, f))
+            elif not (typed(gf) and (c.src[gf], c.tgt[gf]) == (c.src[f], c.tgt[g])):
+                bad.append(("composite-typing", g, f, gf))
+    return bad + missing
 
 
 def composition_violations(fun: FinFunctor) -> list[tuple]:

@@ -387,6 +387,17 @@ def test_r_algebra_structure_enumeration_matches_lens_count():
     assert len(algebras) == 2
 
 
+def test_normal_forms_name_distinct_morphisms(corpus_funs):
+    # Normal forms are tuples of differing arity, so id_of inverts kinds
+    # exactly when no two morphisms share a normal form.
+    funs = [f for _, f in corpus_funs]
+    assert len(funs) == 125
+    for f in funs + [e_object(f).rf for f in funs]:
+        ef = e_object(f)
+        assert len(ef.id_of) == len(ef.kinds) == len(ef.e.morphisms)
+        assert all(ef.id_of[k] == m for m, k in ef.kinds.items())
+
+
 def _assert_composites_retag(f):
     """Composition tables hold the ids that `tag` rebuilds from parts."""
     A, B = f.dom, f.cod

@@ -261,6 +261,22 @@ def test_repeated_compose_row_or_lift_is_an_input_error(tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and message in err, name
 
 
+@pytest.mark.parametrize(
+    "field, key", [("identities", "*"), ("on_objects", "*"), ("on_morphisms", "1_*")]
+)
+def test_repeated_json_key_is_an_input_error(field, key, tmp_path, capsys):
+    # json keeps the last of repeated keys, and the last entry here is the
+    # lawful one, so only the loader can catch the repeat.
+    fun = identity_functor(CORPUS["terminal"])
+    payload = category_to_json(fun.dom) if field == "identities" else functor_to_json(fun)
+    text = json.dumps(payload)
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(f'"{field}": {{', f'"{field}": {{"{key}": "junk", ', 1))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err == f"error: {path}: a JSON object repeats the key '{key}'\n"
+
+
 def test_console_script_entry_point():
     # The child imports the same package as this process, installed or not.
     path = [str(Path(deltalens.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import associativity_violations, composition_closure, composition_violations
+from oracles import (
+    associativity_violations,
+    composition_closure,
+    composition_violations,
+    totality_violations,
+)
 
 from deltalens.awfs import comonad_data, e_object, mu
 from deltalens.fixtures import CORPUS
@@ -190,6 +195,36 @@ def test_associativity_report_matches_naive_sweep(data):
     report = validate_category(broken)
     found = [v for v in report.violations if v[0] == "associativity"]
     assert found == associativity_violations(broken)
+
+
+TOTALITY = ("compose-unknown", "compose-not-composable", "composite-typing", "missing-composite")
+
+
+@given(st.data())
+def test_totality_report_matches_naive_sweep(data):
+    c = _assoc_subject(data.draw(st.sampled_from(sorted(CORPUS) + ["depth-2"])))
+    keys = sorted(c.compose)
+    compose = dict(c.compose)
+    for _ in range(data.draw(st.integers(1, 2))):
+        key = data.draw(st.sampled_from(keys))
+        g, f = key
+        kind = data.draw(st.sampled_from(("delete", "not-composable", "mistyped", "unknown")))
+        if kind == "delete":
+            compose.pop(key, None)
+        elif kind == "unknown":
+            compose[key] = "no-such-morphism"
+        elif kind == "not-composable":
+            apart = [h for h in c.morphisms if c.tgt[h] != c.src[g]]
+            if apart:
+                compose[(g, data.draw(st.sampled_from(apart)))] = g
+        else:
+            wrong = [h for h in c.morphisms if (c.src[h], c.tgt[h]) != (c.src[f], c.tgt[g])]
+            if wrong:
+                compose[key] = data.draw(st.sampled_from(wrong))
+    broken = FinCat(c.objects, c.morphisms, c.src, c.tgt, c.identity, compose)
+    report = validate_category(broken)
+    assert [v for v in report.violations if v[0] in TOTALITY] == totality_violations(broken)
+    assert validate_category(c).ok and totality_violations(c) == []
 
 
 def _functor_subject(kind: str, f: FinFunctor) -> FinFunctor:
