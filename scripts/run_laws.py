@@ -2,13 +2,17 @@
 """Sweep every law family over the corpus and report per-family timing.
 
 Usage: python3 scripts/run_laws.py [--families a,b,c] [--seed N]
+
+Exits 0 when every case holds, 1 on a law failure and 2 on an unknown
+family name, before any family runs.
 """
 
 import argparse
 import sys
 import time
 
-from deltalens.laws import FAMILIES, default_scope, run_laws
+from deltalens.kernel import InputError
+from deltalens.laws import FAMILIES, check_families, default_scope, run_laws
 
 
 def main() -> int:
@@ -17,6 +21,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
     families = tuple(args.families.split(",")) if args.families else FAMILIES
+    try:
+        check_families(families)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     scope = default_scope()
     failures = 0

@@ -11,6 +11,12 @@ via prefixes:
   functors     PATH | id:CATREF | iota:CATREF | s:FUNREF | t:FUNREF
                | lf:FUNREF | rf:FUNREF
   lenses       PATH | free-lens:FUNREF | dof:FUNREF | id-lens:CATREF
+
+A fixture name or a prefix wins over a file of the same name.
+
+`main(argv)` may be called repeatedly in one process: the argument
+parser is built once, at import, and each call parses its own argv into
+a fresh namespace.
 """
 
 from __future__ import annotations
@@ -103,7 +109,20 @@ def build_workspace(corpus_dir: str | None, guard: int) -> Workspace:
     return Workspace(fixtures, broken, guard)
 
 
+_CATEGORY_PREFIXES = ("jf:", "ef:", "discrete:")
+_FUNCTOR_PREFIXES = ("id:", "iota:", "s:", "t:", "lf:", "rf:")
 _LENS_PREFIXES = ("free-lens:", "dof:", "id-lens:")
+
+
+def _names_file(ref: str, ws: Workspace) -> bool:
+    """Whether `ref` is a file path and not a name: the resolve_* functions
+    try fixture names and prefixes before the file system, and so does
+    every command that loads files itself."""
+    return not (
+        ref in ws.fixtures
+        or ref in ws.broken
+        or ref.startswith(_CATEGORY_PREFIXES + _FUNCTOR_PREFIXES + _LENS_PREFIXES)
+    ) and Path(ref).is_file()
 
 
 def _checked(report: ValidationReport, what: str):
@@ -211,7 +230,7 @@ def cmd_validate(args, ws: Workspace) -> int:
                 print(f"violation: {ref}: " + " ".join(str(p) for p in v))
             worst = 1
             continue
-        if Path(ref).is_file():
+        if _names_file(ref, ws):
             kind, value, report = _load_entry(ref)
             if kind == "category":
                 detail = f"{len(value.objects)} objects, {len(value.morphisms)} morphisms"
@@ -219,9 +238,7 @@ def cmd_validate(args, ws: Workspace) -> int:
                 detail = f"{len(value.obj_map)} objects mapped"
             else:
                 detail = f"{len(value.lifts.entries)} lifts"
-        elif ref in ws.fixtures or any(
-            ref.startswith(p) for p in ("jf:", "ef:", "discrete:")
-        ):
+        elif ref in ws.fixtures or ref.startswith(_CATEGORY_PREFIXES):
             value = resolve_category(ref, ws)
             kind = "category"
             report = validate_category(value)
@@ -395,7 +412,7 @@ def cmd_enumerate(args, ws: Workspace) -> int:
 
 
 def cmd_export_dot(args, ws: Workspace) -> int:
-    if Path(args.entry).is_file():
+    if _names_file(args.entry, ws):
         kind, value, report = _load_entry(args.entry)
         if kind == "functor":
             raise InputError(f"{args.entry} does not hold a category or a lens")
@@ -490,9 +507,11 @@ _COMMANDS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         ws = build_workspace(args.corpus, args.guard)
         return _COMMANDS[args.command](args, ws)

@@ -332,6 +332,13 @@ def _tower_cases(scope) -> list[LawCase]:
     ]
 
 
+def check_families(families: tuple[str, ...]) -> None:
+    """Raise InputError naming the first entry that is not a law family."""
+    for fam in families:
+        if fam not in FAMILIES:
+            raise InputError(f"unknown law family: {fam!r}")
+
+
 def run_laws(
     scope: LawScope | None = None,
     *,
@@ -341,9 +348,7 @@ def run_laws(
     """Run the law suite and report one case per checked instance."""
     scope = scope or default_scope()
     wanted = families if families is not None else FAMILIES
-    for fam in wanted:
-        if fam not in FAMILIES:
-            raise InputError(f"unknown law family: {fam}")
+    check_families(wanted)
     functors, skipped = corpus_functors(scope)
     squares = corpus_squares(scope, functors) if (
         {"orthogonality", "semimonad", "monad", "comonad"} & set(wanted)

@@ -154,7 +154,7 @@ def test_laws_subset_runs_only_requested_families(capsys):
 
 def test_laws_rejects_unknown_family(capsys):
     code, _, err = run(["laws", "--families", "nonsense"], capsys)
-    assert code == 2
+    assert (code, err) == (2, "error: unknown law family: 'nonsense'\n")
 
 
 def test_laws_reports_broken_corpus_entries(tmp_path, capsys):
@@ -218,6 +218,58 @@ def test_export_dot_output(capsys):
     assert code == 0
     assert len([l for l in out.splitlines() if '";' in l]) == 3
     assert out.count("->") == 2
+
+
+def test_fixture_names_win_over_files_of_the_same_name(tmp_path, monkeypatch, capsys):
+    argvs = (
+        ["validate", "interval"],
+        ["export-dot", "interval"],
+        ["jf", "id:interval"],
+        ["validate", "discrete:interval"],
+    )
+    monkeypatch.chdir(tmp_path)
+    before = [run(argv, capsys) for argv in argvs]
+    (tmp_path / "interval").write_text(json.dumps(category_to_json(CORPUS["terminal"])))
+    assert [run(argv, capsys) for argv in argvs] == before
+    assert before[0] == (0, "ok: interval (category, 2 objects, 3 morphisms)\n", "")
+    # The file is still read through a path that is not a name.
+    code, out, _ = run(["validate", "./interval"], capsys)
+    assert (code, out) == (0, "ok: ./interval (category, 1 objects, 1 morphisms)\n")
+    code, out, _ = run(["export-dot", "./interval"], capsys)
+    assert code == 0 and out.count("->") == 0
+
+
+def test_repeated_main_calls_do_not_affect_each_other(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "extra.json").write_text(json.dumps(category_to_json(CORPUS["interval"])))
+    argvs = (
+        ["--guard", "3", "laws", "--families", "orthogonality"],
+        ["laws", "--families", "fixtures"],
+        ["--corpus", str(corpus), "laws", "--families", "fixtures"],
+        ["validate", "interval"],
+        ["enumerate", "lenses", "id:terminal", "--out", str(tmp_path / "out")],
+        ["--help"],
+        ["--guard", "many", "laws"],
+    )
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exit on --help or a bad value
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    forward = {tuple(argv): call(argv) for argv in argvs}
+    backward = {tuple(argv): call(argv) for argv in reversed(argvs)}
+    assert forward == backward
+    results = list(forward.values())
+    assert [code for code, _ in results] == [0, 0, 0, 0, 0, 0, 2]
+    assert results[0][1].splitlines()[-1].startswith("suite: partial")
+    assert results[1][1].endswith("suite: ok\n")
+    assert results[2][1] == results[1][1].replace(
+        f"fixtures: {len(CORPUS)} cases", f"fixtures: {len(CORPUS) + 1} cases")
+    assert results[5][1].startswith("usage: deltalens")
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import deltalens
 from deltalens.fixtures import CORPUS
 
@@ -28,6 +30,13 @@ def test_run_laws_script_sweeps_the_fixture_family():
     n = str(len(CORPUS))
     assert lines[0].split()[:5] == ["fixtures", n, "cases", "0", "failures"]
     assert lines[-1].split() == ["total", n, "cases", "0", "failures"]
+
+
+@pytest.mark.parametrize("families, bad", [("fixtures,nope", "'nope'"), ("fixtures,", "''")])
+def test_run_laws_script_rejects_an_unknown_family_before_running_any(families, bad):
+    proc = _run("run_laws.py", "--families", families)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: unknown law family: {bad}\n"
 
 
 def test_export_diagrams_script_writes_every_diagram(tmp_path):
