@@ -3,16 +3,19 @@
 Subcommands: validate, factorise, jf, free-lens, lift, laws, enumerate,
 export-dot.  Exit codes: 0 success, 1 law failure, 2 input error.
 
-Entry references resolve either to builtin fixture names (plus any
-categories loaded from --corpus), to JSON files, or to derived objects
-via prefixes:
+Every entry reference is resolved the same way, in this order:
 
-  categories   NAME | PATH | jf:FUNREF | ef:FUNREF | discrete:CATREF
-  functors     PATH | id:CATREF | iota:CATREF | s:FUNREF | t:FUNREF
-               | lf:FUNREF | rf:FUNREF
-  lenses       PATH | free-lens:FUNREF | dof:FUNREF | id-lens:CATREF
+  1. a name: a builtin fixture or a `--corpus` category;
+  2. a prefix applied to a reference, from `_PREFIXES`:
+       categories   jf:FUNREF | ef:FUNREF | discrete:CATREF
+       functors     id:CATREF | iota:CATREF | s:FUNREF | t:FUNREF
+                    | lf:FUNREF | rf:FUNREF
+       lenses       free-lens:FUNREF | dof:FUNREF | id-lens:CATREF
+  3. a JSON file holding a category, a functor or a lens.
 
-A fixture name or a prefix wins over a file of the same name.
+So a name or a prefix wins over a file of the same name in every
+position; `./NAME` reaches the file.  A corpus file owns its name whether
+it loads or not: a broken `interval.json` hides the builtin `interval`.
 
 `main(argv)` may be called repeatedly in one process: the argument
 parser is built once, at import, and each call parses its own argv into
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .kernel import (
@@ -75,14 +77,9 @@ from .serialization import (
 )
 
 
-@dataclass
-class Workspace:
-    fixtures: dict[str, FinCat]
-    broken: dict[str, tuple]
-    guard: int
-
-
-def build_workspace(corpus_dir: str | None, guard: int) -> Workspace:
+def build_workspace(corpus_dir: str | None, guard: int) -> LawScope:
+    """The names every command resolves.  A `--corpus` file owns its name
+    whether it loads or not: a broken one hides the builtin of that name."""
     if guard <= 0:
         raise InputError(f"guard must be positive, got {guard}")
     fixtures = dict(CORPUS)
@@ -93,6 +90,7 @@ def build_workspace(corpus_dir: str | None, guard: int) -> Workspace:
             raise InputError(f"corpus path is not a directory: {corpus_dir}")
         for path in sorted(root.glob("*.json")):
             name = path.stem
+            fixtures.pop(name, None)
             try:
                 payload = load_payload(str(path))
                 if payload_kind(payload) != "category":
@@ -106,29 +104,24 @@ def build_workspace(corpus_dir: str | None, guard: int) -> Workspace:
                 fixtures[name] = cat
             else:
                 broken[name] = report.violations[:8]
-    return Workspace(fixtures, broken, guard)
+    return LawScope(fixtures=fixtures, guard=guard, broken=broken)
 
 
-_CATEGORY_PREFIXES = ("jf:", "ef:", "discrete:")
-_FUNCTOR_PREFIXES = ("id:", "iota:", "s:", "t:", "lf:", "rf:")
-_LENS_PREFIXES = ("free-lens:", "dof:", "id-lens:")
-
-
-def _names_file(ref: str, ws: Workspace) -> bool:
-    """Whether `ref` is a file path and not a name: the resolve_* functions
-    try fixture names and prefixes before the file system, and so does
-    every command that loads files itself."""
-    return not (
-        ref in ws.fixtures
-        or ref in ws.broken
-        or ref.startswith(_CATEGORY_PREFIXES + _FUNCTOR_PREFIXES + _LENS_PREFIXES)
-    ) and Path(ref).is_file()
-
-
-def _checked(report: ValidationReport, what: str):
-    if not report.ok:
-        first = " ".join(str(p) for p in report.violations[0])
-        raise InputError(f"{what} fails validation: {first}")
+# prefix -> (kind it builds, kind of the reference after it, construction)
+_PREFIXES = {
+    "jf": ("category", "functor", lambda f: j_object(f).j),
+    "ef": ("category", "functor", lambda f: e_object(f).e),
+    "discrete": ("category", "category", discrete),
+    "id": ("functor", "category", identity_functor),
+    "iota": ("functor", "category", counit_inclusion),
+    "s": ("functor", "functor", lambda f: j_object(f).s),
+    "t": ("functor", "functor", lambda f: j_object(f).t),
+    "lf": ("functor", "functor", lambda f: e_object(f).lf),
+    "rf": ("functor", "functor", lambda f: e_object(f).rf),
+    "free-lens": ("lens", "functor", free_lens),
+    "dof": ("lens", "functor", lens_from_discrete_opfibration),
+    "id-lens": ("lens", "category", identity_lens),
+}
 
 
 def _load_entry(path: str) -> tuple[str, FinCat | FinFunctor | DeltaLens, ValidationReport]:
@@ -153,60 +146,34 @@ def _load_entry(path: str) -> tuple[str, FinCat | FinFunctor | DeltaLens, Valida
     return kind, value, report
 
 
-def _load_checked(path: str, kind: str):
-    """The value in a file that must hold a valid `kind`."""
-    found, value, report = _load_entry(path)
-    if found != kind:
-        raise InputError(f"{path} does not hold a {kind}")
-    _checked(report, f"{kind} {path}")
-    return value
-
-
-def resolve_category(ref: str, ws: Workspace) -> FinCat:
+def _entry(ref: str, ws: LawScope) -> tuple[str, object, ValidationReport | None]:
+    """What `ref` names, as (kind, value, report): a fixture or corpus
+    name, else a prefix, else a file.  The report is None when the value
+    has not been checked yet (names and prefixes); a broken corpus name
+    has no value, only its report."""
     if ref in ws.fixtures:
-        return ws.fixtures[ref]
+        return "category", ws.fixtures[ref], None
     if ref in ws.broken:
-        first = " ".join(str(p) for p in ws.broken[ref][0])
-        raise InputError(f"corpus category {ref!r} is broken: {first}")
-    if ref.startswith("jf:"):
-        return j_object(resolve_functor(ref[3:], ws)).j
-    if ref.startswith("ef:"):
-        return e_object(resolve_functor(ref[3:], ws)).e
-    if ref.startswith("discrete:"):
-        return discrete(resolve_category(ref[9:], ws))
+        return "category", None, ValidationReport.from_violations(ws.broken[ref])
+    head, colon, rest = ref.partition(":")
+    if colon and head in _PREFIXES:
+        kind, inner, build = _PREFIXES[head]
+        return kind, build(resolve(rest, ws, inner)), None
     if Path(ref).is_file():
-        return _load_checked(ref, "category")
-    raise InputError(f"unknown category reference: {ref!r}")
+        return _load_entry(ref)
+    raise InputError(f"unknown reference: {ref!r}")
 
 
-def resolve_functor(ref: str, ws: Workspace) -> FinFunctor:
-    if ref.startswith("id:"):
-        return identity_functor(resolve_category(ref[3:], ws))
-    if ref.startswith("iota:"):
-        return counit_inclusion(resolve_category(ref[5:], ws))
-    if ref.startswith("s:"):
-        return j_object(resolve_functor(ref[2:], ws)).s
-    if ref.startswith("t:"):
-        return j_object(resolve_functor(ref[2:], ws)).t
-    if ref.startswith("lf:"):
-        return e_object(resolve_functor(ref[3:], ws)).lf
-    if ref.startswith("rf:"):
-        return e_object(resolve_functor(ref[3:], ws)).rf
-    if Path(ref).is_file():
-        return _load_checked(ref, "functor")
-    raise InputError(f"unknown functor reference: {ref!r}")
-
-
-def resolve_lens(ref: str, ws: Workspace) -> DeltaLens:
-    if ref.startswith("free-lens:"):
-        return free_lens(resolve_functor(ref[10:], ws))
-    if ref.startswith("dof:"):
-        return lens_from_discrete_opfibration(resolve_functor(ref[4:], ws))
-    if ref.startswith("id-lens:"):
-        return identity_lens(resolve_category(ref[8:], ws))
-    if Path(ref).is_file():
-        return _load_checked(ref, "lens")
-    raise InputError(f"unknown lens reference: {ref!r}")
+def resolve(ref: str, ws: LawScope, *kinds: str):
+    """The value `ref` names, which must be one of `kinds` and, when it was
+    loaded or is a corpus name, must have passed its checks."""
+    kind, value, report = _entry(ref, ws)
+    if kind not in kinds:
+        raise InputError(f"{ref} does not hold a {' or a '.join(kinds)}")
+    if report is not None and not report.ok:
+        first = " ".join(str(p) for p in report.violations[0])
+        raise InputError(f"{kind} {ref} fails validation: {first}")
+    return value
 
 
 def _save(payload: dict, out: str | None) -> None:
@@ -220,41 +187,24 @@ def _print_violations(report: ValidationReport, label: str) -> None:
         print(f"violation: {label}: " + " ".join(str(p) for p in v))
 
 
-def cmd_validate(args, ws: Workspace) -> int:
+# kind -> (validator, one-line description of a valid value)
+_KINDS = {
+    "category": (validate_category,
+                 lambda c: f"{len(c.objects)} objects, {len(c.morphisms)} morphisms"),
+    "functor": (validate_functor, lambda f: f"{len(f.obj_map)} objects mapped"),
+    "lens": (validate_lens, lambda l: f"{len(l.lifts.entries)} lifts"),
+}
+
+
+def cmd_validate(args, ws: LawScope) -> int:
     worst = 0
     for ref in args.entry:
-        kind = None
-        if ref in ws.broken:
-            print(f"FAIL: {ref} (category)")
-            for v in ws.broken[ref]:
-                print(f"violation: {ref}: " + " ".join(str(p) for p in v))
-            worst = 1
-            continue
-        if _names_file(ref, ws):
-            kind, value, report = _load_entry(ref)
-            if kind == "category":
-                detail = f"{len(value.objects)} objects, {len(value.morphisms)} morphisms"
-            elif kind == "functor":
-                detail = f"{len(value.obj_map)} objects mapped"
-            else:
-                detail = f"{len(value.lifts.entries)} lifts"
-        elif ref in ws.fixtures or ref.startswith(_CATEGORY_PREFIXES):
-            value = resolve_category(ref, ws)
-            kind = "category"
-            report = validate_category(value)
-            detail = f"{len(value.objects)} objects, {len(value.morphisms)} morphisms"
-        elif ref.startswith(_LENS_PREFIXES):
-            value = resolve_lens(ref, ws)
-            kind = "lens"
-            report = validate_lens(value)
-            detail = f"{len(value.lifts.entries)} lifts"
-        else:
-            value = resolve_functor(ref, ws)
-            kind = "functor"
-            report = validate_functor(value)
-            detail = "functor"
+        kind, value, report = _entry(ref, ws)
+        validator, detail = _KINDS[kind]
+        if report is None:
+            report = validator(value)
         if report.ok:
-            print(f"ok: {ref} ({kind}, {detail})")
+            print(f"ok: {ref} ({kind}, {detail(value)})")
         else:
             print(f"FAIL: {ref} ({kind})")
             _print_violations(report, ref)
@@ -262,8 +212,8 @@ def cmd_validate(args, ws: Workspace) -> int:
     return worst
 
 
-def cmd_factorise(args, ws: Workspace) -> int:
-    fun = resolve_functor(args.functor, ws)
+def cmd_factorise(args, ws: LawScope) -> int:
+    fun = resolve(args.functor, ws, "functor")
     parts = comprehensive_factorise(fun)
     print(
         f"mid: {len(parts.mid.objects)} objects, {len(parts.mid.morphisms)} morphisms"
@@ -277,8 +227,8 @@ def cmd_factorise(args, ws: Workspace) -> int:
     return 0
 
 
-def cmd_jf(args, ws: Workspace) -> int:
-    fun = resolve_functor(args.functor, ws)
+def cmd_jf(args, ws: LawScope) -> int:
+    fun = resolve(args.functor, ws, "functor")
     jp = j_object(fun)
     print(f"jf: {len(jp.j.objects)} objects, {len(jp.j.morphisms)} morphisms")
     _save(category_to_json(jp.j), args.out)
@@ -287,8 +237,8 @@ def cmd_jf(args, ws: Workspace) -> int:
     return 0
 
 
-def cmd_free_lens(args, ws: Workspace) -> int:
-    fun = resolve_functor(args.functor, ws)
+def cmd_free_lens(args, ws: LawScope) -> int:
+    fun = resolve(args.functor, ws, "functor")
     l = free_lens(fun)
     ef = e_object(fun)
     print(
@@ -304,24 +254,24 @@ def cmd_free_lens(args, ws: Workspace) -> int:
     return 0
 
 
-def cmd_lift(args, ws: Workspace) -> int:
-    top = resolve_functor(args.top, ws)
-    bottom = resolve_functor(args.bottom, ws)
+def cmd_lift(args, ws: LawScope) -> int:
+    top = resolve(args.top, ws, "functor")
+    bottom = resolve(args.bottom, ws, "functor")
     if args.coalgebra is not None:
         if args.lens is None:
             raise InputError("--coalgebra requires --lens")
         if not args.coalgebra.startswith("cofree:"):
             raise InputError("coalgebra references use the cofree:FUNREF form")
-        coalg = cofree_coalgebra(resolve_functor(args.coalgebra[7:], ws))
-        lens = resolve_lens(args.lens, ws)
+        coalg = cofree_coalgebra(resolve(args.coalgebra[7:], ws, "functor"))
+        lens = resolve(args.lens, ws, "lens")
         sq = CommutingSquare(coalg.functor, lens.functor, top, bottom)
         d = lift_against_coalgebra(sq, coalg, lens)
     else:
         if args.left is None or args.right is None:
             raise InputError("lift needs either --left/--right or --coalgebra/--lens")
         sq = CommutingSquare(
-            resolve_functor(args.left, ws),
-            resolve_functor(args.right, ws),
+            resolve(args.left, ws, "functor"),
+            resolve(args.right, ws, "functor"),
             top,
             bottom,
         )
@@ -332,10 +282,9 @@ def cmd_lift(args, ws: Workspace) -> int:
     return 0
 
 
-def cmd_laws(args, ws: Workspace) -> int:
+def cmd_laws(args, ws: LawScope) -> int:
     families = tuple(args.families.split(",")) if args.families else None
-    scope = LawScope(fixtures=ws.fixtures, guard=ws.guard, broken=ws.broken)
-    result = run_laws(scope, families=families, seed=args.seed)
+    result = run_laws(ws, families=families, seed=args.seed)
     counts: dict[str, list[int]] = {}
     for c in result.cases:
         row = counts.setdefault(c.family, [0, 0])
@@ -355,52 +304,43 @@ def cmd_laws(args, ws: Workspace) -> int:
         print("suite: nothing checked")
         return 1
     if result.ok and result.skipped:
-        skipped, pairs = len(result.skipped), len(scope.fixtures) ** 2
+        skipped, pairs = len(result.skipped), len(ws.fixtures) ** 2
         print(f"suite: partial, {skipped} of {pairs} fixture pairs skipped by the guard")
         return 0
     print("suite: " + ("ok" if result.ok else "FAILED"))
     return 0 if result.ok else 1
 
 
-def cmd_enumerate(args, ws: Workspace) -> int:
+def _structure_json(a) -> dict:
+    return functor_to_json(a.structure)
+
+
+# enumerate KIND -> (kinds of its entries, search, JSON of one result)
+_ENUMERATIONS = {
+    "functors": (("category", "category"), enumerate_functors, functor_to_json),
+    "dofs": (("category", "category"), discrete_opfibrations, functor_to_json),
+    "squares": (
+        ("functor", "functor"),
+        enumerate_commuting_squares,
+        lambda sq: {"top": functor_to_json(sq.top), "bottom": functor_to_json(sq.bottom)},
+    ),
+    "lenses": (("functor",), enumerate_lens_structures, lens_to_json),
+    "jr-algebras": (("functor",), enumerate_jr_algebras, _structure_json),
+    "r-algebras": (("functor",), enumerate_r_algebra_structures, _structure_json),
+    "l-coalgebras": (("functor",), enumerate_l_coalgebras, _structure_json),
+}
+
+
+def cmd_enumerate(args, ws: LawScope) -> int:
     kind = args.kind
-    arity = 2 if kind in ("functors", "dofs", "squares") else 1
-    if len(args.entry) != arity:
+    kinds, search, to_json = _ENUMERATIONS[kind]
+    if len(args.entry) != len(kinds):
         raise InputError(
-            f"enumerate {kind} takes {arity} entr{'y' if arity == 1 else 'ies'}, got {len(args.entry)}"
+            f"enumerate {kind} takes {len(kinds)} entr{'y' if len(kinds) == 1 else 'ies'}, "
+            f"got {len(args.entry)}"
         )
-    if kind == "functors":
-        dom = resolve_category(args.entry[0], ws)
-        cod = resolve_category(args.entry[1], ws)
-        values = enumerate_functors(dom, cod, ws.guard)
-        payloads = [functor_to_json(f) for f in values]
-    elif kind == "dofs":
-        dom = resolve_category(args.entry[0], ws)
-        cod = resolve_category(args.entry[1], ws)
-        values = discrete_opfibrations(dom, cod, ws.guard)
-        payloads = [functor_to_json(f) for f in values]
-    elif kind == "squares":
-        f = resolve_functor(args.entry[0], ws)
-        g = resolve_functor(args.entry[1], ws)
-        values = enumerate_commuting_squares(f, g, ws.guard)
-        payloads = [
-            {"top": functor_to_json(sq.top), "bottom": functor_to_json(sq.bottom)}
-            for sq in values
-        ]
-    else:
-        fun = resolve_functor(args.entry[0], ws)
-        if kind == "lenses":
-            values = enumerate_lens_structures(fun, ws.guard)
-            payloads = [lens_to_json(l) for l in values]
-        elif kind == "jr-algebras":
-            values = enumerate_jr_algebras(fun, ws.guard)
-            payloads = [functor_to_json(a.structure) for a in values]
-        elif kind == "r-algebras":
-            values = enumerate_r_algebra_structures(fun, ws.guard)
-            payloads = [functor_to_json(a.structure) for a in values]
-        else:
-            values = enumerate_l_coalgebras(fun, ws.guard)
-            payloads = [functor_to_json(a.structure) for a in values]
+    values = search(*(resolve(ref, ws, k) for ref, k in zip(args.entry, kinds)), ws.guard)
+    payloads = [to_json(v) for v in values]
     print(f"{kind}: {len(values)}")
     if args.out is not None:
         out = Path(args.out)
@@ -411,20 +351,12 @@ def cmd_enumerate(args, ws: Workspace) -> int:
     return 0
 
 
-def cmd_export_dot(args, ws: Workspace) -> int:
-    if _names_file(args.entry, ws):
-        kind, value, report = _load_entry(args.entry)
-        if kind == "functor":
-            raise InputError(f"{args.entry} does not hold a category or a lens")
-        _checked(report, f"{kind} {args.entry}")
-    elif args.entry.startswith(_LENS_PREFIXES):
-        value = resolve_lens(args.entry, ws)
-    else:
-        value = resolve_category(args.entry, ws)
+def cmd_export_dot(args, ws: LawScope) -> int:
+    value = resolve(args.entry, ws, "category", "lens")
     lens = value if isinstance(value, DeltaLens) else None
     cat = value.functor.dom if lens else value
     if args.lens is not None:
-        lens = resolve_lens(args.lens, ws)
+        lens = resolve(args.lens, ws, "lens")
     text = export_dot(cat, lens=lens, name=args.name)
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8", newline="\n")
@@ -480,10 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shuffle case execution order (results stay sorted)")
 
     p = sub.add_parser("enumerate", help="exhaustive searches under the guard")
-    p.add_argument("kind", choices=[
-        "functors", "dofs", "squares", "lenses",
-        "jr-algebras", "r-algebras", "l-coalgebras",
-    ])
+    p.add_argument("kind", choices=list(_ENUMERATIONS))
     p.add_argument("entry", nargs="*")
     p.add_argument("--out", default=None, help="directory for numbered JSON files")
 

@@ -230,12 +230,6 @@ class FinFunctor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_mor(self, m: str) -> str:
-        return self.mor_map[m]
-
     @cached_property
     def key(self) -> tuple:
         return (

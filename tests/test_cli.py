@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import deltalens
-from deltalens.cli import Workspace, cmd_laws, main
+from deltalens.cli import cmd_laws, main
 from deltalens.fixtures import CORPUS
 from deltalens.kernel import DEFAULT_GUARD, identity_functor
+from deltalens.laws import LawScope
 from deltalens.lens import identity_lens
 from deltalens.serialization import category_to_json, functor_to_json, lens_to_json
 
@@ -179,7 +180,7 @@ def test_laws_reports_broken_corpus_entries(tmp_path, capsys):
 
 def test_laws_that_check_nothing_exit_1(capsys):
     args = argparse.Namespace(families="fixtures", seed=None)
-    assert cmd_laws(args, Workspace({}, {}, DEFAULT_GUARD)) == 1
+    assert cmd_laws(args, LawScope({}, DEFAULT_GUARD, {})) == 1
     assert capsys.readouterr().out == "suite: nothing checked\n"
 
 
@@ -237,6 +238,31 @@ def test_fixture_names_win_over_files_of_the_same_name(tmp_path, monkeypatch, ca
     assert (code, out) == (0, "ok: ./interval (category, 1 objects, 1 morphisms)\n")
     code, out, _ = run(["export-dot", "./interval"], capsys)
     assert code == 0 and out.count("->") == 0
+    # Names win in functor positions too: a functor file called interval
+    # does not stand in for the category of that name.
+    (tmp_path / "interval").write_text(
+        json.dumps(functor_to_json(identity_functor(CORPUS["terminal"]))))
+    code, _, err = run(["jf", "interval"], capsys)
+    assert code == 2 and "interval does not hold a functor" in err
+    code, out, _ = run(["jf", "./interval"], capsys)
+    assert (code, out) == (0, "jf: 1 objects, 1 morphisms\n")
+
+
+def test_a_broken_corpus_file_owns_its_name(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "interval.json").write_text("{nope")
+    ws = ["--corpus", str(corpus)]
+    code, out, _ = run([*ws, "validate", "interval"], capsys)
+    assert code == 1 and out.startswith("FAIL: interval (category)\nviolation: interval: load-error")
+    for argv in (["jf", "id:interval"], ["export-dot", "interval"]):
+        code, out, err = run([*ws, *argv], capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: category interval fails validation: load-error"), argv
+    code, out, _ = run([*ws, "laws", "--families", "fixtures"], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == "fixtures: 7 cases, 1 failures"
+    assert [l.split()[2] for l in out.splitlines() if l.startswith("FAIL ")] == ["interval"]
 
 
 def test_repeated_main_calls_do_not_affect_each_other(tmp_path, capsys):
