@@ -37,6 +37,7 @@ from .kernel import (
     InputError,
     InternalInvariantError,
     ValidationReport,
+    commutes,
     compose_functors,
     counit_inclusion,
     discrete,
@@ -61,8 +62,8 @@ from .semimonad import (
     JrAlgebra,
     _collapse,
     _layered_report,
+    _raw_j_square,
     j_object,
-    j_square,
     jr_from_lens,
     lens_from_jr,
     validate_jr_algebra,
@@ -277,14 +278,11 @@ def _verify_e(pres: EfPresentation) -> None:
     for x in pres.e.objects:
         if pres.rf.obj_map[x] not in f.cod.objects:
             raise InternalInvariantError("projection leaves the base")
-    if not same_functor(compose_functors(pres.rf, pres.lf), f):
+    if not commutes(pres.rf, pres.lf, f):
         raise InternalInvariantError("factorisation legs do not compose to the functor")
-    if not same_functor(compose_functors(pres.rf, pres.alpha), pres.j.t):
+    if not commutes(pres.rf, pres.alpha, pres.j.t):
         raise InternalInvariantError("projection does not extend the coslice projection")
-    if not same_functor(
-        compose_functors(pres.alpha, pres.j.s),
-        compose_functors(pres.lf, counit_inclusion(f.dom)),
-    ):
+    if not commutes(pres.alpha, pres.j.s, pres.lf, counit_inclusion(f.dom)):
         raise InternalInvariantError("glueing legs disagree on placed objects")
     if not is_bijective_on_objects(pres.alpha):
         raise InternalInvariantError("coslice inclusion is not bijective on objects")
@@ -296,11 +294,23 @@ def _verify_e(pres: EfPresentation) -> None:
 
 def e_square(sq: CommutingSquare) -> FinFunctor:
     """Apply the factorisation to a commuting square of functors: the
-    copairing of the top leg followed by Lg with the coslice image of
-    the square followed by the coslice inclusion of Eg."""
+    copairing of the top leg followed by Lg with the raw coslice image
+    of the square followed by the coslice inclusion of Eg.
+
+    Checked here: every coslice image exists, identity placement is kept,
+    and Rg after the result is the bottom leg after Rf.  With `copair`'s
+    checks (a functor restricting to both legs) and `_verify_e`'s, once
+    per Eg (its inclusion is injective, and Rg after it is the coslice
+    projection), the coslice image is a functor over the base."""
     ef, eg = e_object(sq.left), e_object(sq.right)
-    out = copair(ef, compose_functors(eg.lf, sq.top), compose_functors(eg.alpha, j_square(sq)))
-    if not same_functor(compose_functors(eg.rf, out), compose_functors(sq.bottom, ef.rf)):
+    on_j = _raw_j_square(ef.j, eg.j, sq.top.obj_map, sq.bottom.mor_map)
+    if None in on_j.obj_map.values() or None in on_j.mor_map.values():
+        raise InternalInvariantError("coslice image of a square is not a functor")
+    top, placed = sq.top.obj_map, ef.j.s.obj_map
+    if any(on_j.obj_map[placed[a]] != eg.j.s.obj_map[top[a]] for a in sq.left.dom.objects):
+        raise InternalInvariantError("coslice square does not respect identity placement")
+    out = copair(ef, compose_functors(eg.lf, sq.top), compose_functors(eg.alpha, on_j))
+    if not commutes(eg.rf, out, sq.bottom, ef.rf):
         raise InternalInvariantError("square image does not commute over the base")
     return out
 
@@ -325,6 +335,7 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
     ):
         raise ContractError("copair legs disagree on placed objects")
     X = on_a.cod
+    compose = X.compose.get  # None if a leg is not a functor; validate_functor reports it
     obj_map = dict(on_j.obj_map)
     mor_map: dict[str, str] = {}
     for m, kind in pres.kinds.items():
@@ -332,15 +343,15 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
             a1, a2 = A.src[kind.w], A.tgt[kind.w]
             enter = on_j.mor_map[pres.j.id_of[(a1, kind.u1, kind.v)]]
             exit_ = on_j.mor_map[pres.j.id_of[(a2, B.identity[f.obj_map[a2]], kind.u2)]]
-            mor_map[m] = X.compose[(X.compose[(exit_, on_a.mor_map[kind.w])], enter)]
+            mor_map[m] = compose((compose((exit_, on_a.mor_map[kind.w])), enter))
         else:
             mor_map[m] = on_j.mor_map[m]
     out = FinFunctor(pres.e, X, obj_map, mor_map)
     if not validate_functor(out).ok:
         raise InternalInvariantError("copairing is not a functor")
-    if not same_functor(compose_functors(out, pres.alpha), on_j):
+    if not commutes(out, pres.alpha, on_j):
         raise InternalInvariantError("copairing does not restrict to the coslice leg")
-    if not same_functor(compose_functors(out, pres.lf), on_a):
+    if not commutes(out, pres.lf, on_a):
         raise InternalInvariantError("copairing does not restrict to the domain leg")
     return out
 
@@ -355,7 +366,7 @@ def mu(f: FinFunctor) -> FinFunctor:
     upper = e_object(ef.rf)
     on_j = FinFunctor(upper.j.j, ef.e, *_collapse(upper.j, ef.j))
     out = copair(upper, identity_functor(ef.e), on_j)
-    if not same_functor(compose_functors(ef.rf, out), upper.rf):
+    if not commutes(ef.rf, out, upper.rf):
         raise InternalInvariantError("collapse does not live over the base")
     return out
 
@@ -380,20 +391,17 @@ def validate_monad(
     def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
         inner = e_square(sq)
         outer = e_square(CommutingSquare(ef.rf, e_object(sq.right).rf, inner, sq.bottom))
-        return same_functor(
-            compose_functors(inner, trusted), compose_functors(mu(sq.right), outer)
-        )
+        return commutes(inner, trusted, mu(sq.right), outer)
 
     return _layered_report(
         (
             ("mu-functor", lambda: validate_functor(m).ok),
-            ("rf-after-mu", lambda: same_functor(compose_functors(ef.rf, m), upper.rf)),
+            ("rf-after-mu", lambda: commutes(ef.rf, m, upper.rf)),
         ),
         (
-            ("mu-unit-left", lambda: same_functor(compose_functors(m, upper.lf), one)),
-            ("mu-unit-right", lambda: same_functor(compose_functors(m, eta()), one)),
-            ("mu-associativity", lambda: same_functor(
-                compose_functors(m, collapse()), compose_functors(m, mu(ef.rf)))),
+            ("mu-unit-left", lambda: commutes(m, upper.lf, one)),
+            ("mu-unit-right", lambda: commutes(m, eta(), one)),
+            ("mu-associativity", lambda: commutes(m, collapse(), m, mu(ef.rf))),
         ),
         f=f,
         squares=squares,
@@ -428,13 +436,11 @@ def validate_r_algebra(alg: RAlgebra) -> ValidationReport:
     return _layered_report(
         (
             ("structure-functor", lambda: validate_functor(p).ok),
-            ("strictness", lambda: same_functor(compose_functors(f, p), ef.rf)),
+            ("strictness", lambda: commutes(f, p, ef.rf)),
         ),
         (
-            ("unit", lambda: same_functor(
-                compose_functors(p, ef.lf), identity_functor(f.dom))),
-            ("multiplication", lambda: same_functor(
-                compose_functors(p, collapse()), compose_functors(p, mu(f)))),
+            ("unit", lambda: commutes(p, ef.lf, identity_functor(f.dom))),
+            ("multiplication", lambda: commutes(p, collapse(), p, mu(f))),
         ),
     )
 
@@ -507,9 +513,9 @@ def comonad_data(f: FinFunctor) -> ComonadData:
         CommutingSquare(ef.j.s, el.j.t, el.j.s, ef.alpha)
     )
     comult = copair(ef, el.lf, compose_functors(el.alpha, delta))
-    if not same_functor(compose_functors(el.rf, comult), identity_functor(ef.e)):
+    if not commutes(el.rf, comult, identity_functor(ef.e)):
         raise InternalInvariantError("split does not retract onto the glued category")
-    if not same_functor(compose_functors(comult, ef.lf), el.lf):
+    if not commutes(comult, ef.lf, el.lf):
         raise InternalInvariantError("split does not extend the domain inclusion")
     return ComonadData(delta, comult)
 
@@ -534,22 +540,18 @@ def validate_comonad(
     def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
         inner = e_square(sq)
         lifted = CommutingSquare(ef.lf, e_object(sq.right).lf, sq.top, inner)
-        return same_functor(
-            compose_functors(comonad_data(sq.right).comultiplication, inner),
-            compose_functors(e_square(lifted), trusted),
-        )
+        return commutes(comonad_data(sq.right).comultiplication, inner, e_square(lifted), trusted)
 
     return _layered_report(
         (
             ("comultiplication-functor", lambda: validate_functor(c).ok),
-            ("delta-square", lambda: same_functor(compose_functors(c, ef.lf), el.lf)),
+            ("delta-square", lambda: commutes(c, ef.lf, el.lf)),
         ),
         (
-            ("counit-left", lambda: same_functor(compose_functors(el.rf, c), one)),
-            ("counit-right", lambda: same_functor(compose_functors(counit(), c), one)),
-            ("coassociativity", lambda: same_functor(
-                compose_functors(comonad_data(ef.lf).comultiplication, c),
-                compose_functors(split(), c))),
+            ("counit-left", lambda: commutes(el.rf, c, one)),
+            ("counit-right", lambda: commutes(counit(), c, one)),
+            ("coassociativity", lambda: commutes(
+                comonad_data(ef.lf).comultiplication, c, split(), c)),
         ),
         f=f,
         squares=squares,
@@ -574,14 +576,9 @@ def validate_distributive_law(
     elf = e_object(ef.lf)
     exchange = lambda: e_square(CommutingSquare(erf.lf, elf.rf, c, m))
     return _layered_report(
-        (("square", lambda: same_functor(
-            compose_functors(elf.rf, c), compose_functors(m, erf.lf))),),
-        (("coherence", lambda: same_functor(
-            compose_functors(c, m),
-            compose_functors(
-                mu(ef.lf),
-                compose_functors(exchange(), comonad_data(ef.rf).comultiplication),
-            ))),),
+        (("square", lambda: commutes(elf.rf, c, m, erf.lf)),),
+        (("coherence", lambda: commutes(
+            c, m, mu(ef.lf), compose_functors(exchange(), comonad_data(ef.rf).comultiplication))),),
     )
 
 
@@ -610,15 +607,13 @@ def validate_l_coalgebra(coalg: LCoalgebra) -> ValidationReport:
     ef = e_object(f)
     if not validate_functor(q).ok:
         return ValidationReport.from_violations([("structure-functor",)])
-    if not same_functor(compose_functors(ef.rf, q), identity_functor(f.cod)):
+    if not commutes(ef.rf, q, identity_functor(f.cod)):
         v.append(("section",))
-    if not same_functor(compose_functors(q, f), ef.lf):
+    if not commutes(q, f, ef.lf):
         v.append(("unit-square",))
         return ValidationReport.from_violations(v)
     coaction = CommutingSquare(f, ef.lf, identity_functor(f.dom), q)
-    lhs = compose_functors(comonad_data(f).comultiplication, q)
-    rhs = compose_functors(e_square(coaction), q)
-    if not same_functor(lhs, rhs):
+    if not commutes(comonad_data(f).comultiplication, q, e_square(coaction), q):
         v.append(("comultiplication",))
     return ValidationReport.from_violations(v)
 
@@ -661,8 +656,8 @@ def lift_against_coalgebra(
     )
     mediator = copair(ef, sq.top, compose_functors(pres.phi, ell))
     d = compose_functors(mediator, coalg.structure)
-    if not same_functor(compose_functors(d, f), sq.top):
+    if not commutes(d, f, sq.top):
         raise InternalInvariantError("diagonal does not restrict to the top leg")
-    if not same_functor(compose_functors(g, d), sq.bottom):
+    if not commutes(g, d, sq.bottom):
         raise InternalInvariantError("diagonal does not project onto the bottom leg")
     return d

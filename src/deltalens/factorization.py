@@ -21,10 +21,9 @@ from .kernel import (
     FinFunctor,
     InputError,
     InternalInvariantError,
-    compose_functors,
+    commutes,
     memo_by_key,
     same_cat,
-    same_functor,
     tag,
     validate_functor,
 )
@@ -115,10 +114,7 @@ class CommutingSquare:
             raise InputError("square boundary mismatch: bottom.dom != left.cod")
         if not same_cat(self.bottom.cod, self.right.cod):
             raise InputError("square boundary mismatch: bottom.cod != right.cod")
-        if not same_functor(
-            compose_functors(self.bottom, self.left),
-            compose_functors(self.right, self.top),
-        ):
+        if not commutes(self.bottom, self.left, self.right, self.top):
             raise InputError("square does not commute")
 
 
@@ -177,7 +173,7 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     )
     _check(validate_functor(e).ok, "factorisation first leg is not a functor")
     _check(validate_functor(m).ok, "factorisation second leg is not a functor")
-    _check(same_functor(compose_functors(m, e), fun), "factorisation does not recompose")
+    _check(commutes(m, e, fun), "factorisation does not recompose")
     _check(is_initial(e), "factorisation first leg is not initial")
     _check(is_discrete_opfibration(m), "factorisation second leg is not a discrete opfibration")
     return Factorisation(e=e, m=m, mid=mid)
@@ -212,6 +208,6 @@ def orthogonal_lift(sq: CommutingSquare) -> FinFunctor:
     d_mor = {v: lifts[(d_obj[B.src[v]], k.mor_map[v])] for v in B.morphisms}
     d = FinFunctor(B, C, d_obj, d_mor)
     _check(validate_functor(d).ok, "orthogonal lift is not a functor")
-    _check(same_functor(compose_functors(d, f), h), "orthogonal lift misses the top triangle")
-    _check(same_functor(compose_functors(g, d), k), "orthogonal lift misses the bottom triangle")
+    _check(commutes(d, f, h), "orthogonal lift misses the top triangle")
+    _check(commutes(g, d, k), "orthogonal lift misses the bottom triangle")
     return d

@@ -270,6 +270,28 @@ def compose_functors(g: FinFunctor, f: FinFunctor) -> FinFunctor:
     )
 
 
+def commutes(g: FinFunctor, f: FinFunctor, k: FinFunctor, h: FinFunctor | None = None) -> bool:
+    """Whether g after f equals k after h, or k itself when h is None.
+
+    Decides `same_functor` of the composites, raising `InputError` where
+    `compose_functors` would, but builds neither: every object and morphism
+    of the common domain is compared through the tables."""
+    if not same_cat(f.cod, g.dom) or not (h is None or same_cat(h.cod, k.dom)):
+        raise InputError("functors not composable: cod of first differs from dom of second")
+    if not same_cat(f.dom, k.dom if h is None else h.dom) or not same_cat(g.cod, k.cod):
+        return False
+    for g_map, f_map, k_map, h_map in (
+        (g.obj_map, f.obj_map, k.obj_map, None if h is None else h.obj_map),
+        (g.mor_map, f.mor_map, k.mor_map, None if h is None else h.mor_map),
+    ):
+        if f_map.keys() != (k_map if h_map is None else h_map).keys():
+            return False
+        right = map(k_map.__getitem__, f_map if h_map is None else map(h_map.__getitem__, f_map))
+        if list(map(g_map.__getitem__, f_map.values())) != list(right):
+            return False
+    return True
+
+
 # -- validators ------------------------------------------------------------
 
 

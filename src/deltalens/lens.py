@@ -22,6 +22,7 @@ from .kernel import (
     InputError,
     InternalInvariantError,
     ValidationReport,
+    commutes,
     compose_functors,
     identity_functor,
     is_bijective_on_objects,
@@ -209,7 +210,7 @@ def _verify_lambda(pres: LambdaPresentation, fun: FinFunctor) -> None:
         raise InternalInvariantError("lift projection over the base is not a functor")
     if not is_bijective_on_objects(pres.phi):
         raise InternalInvariantError("lift projection is not bijective on objects")
-    if not same_functor(compose_functors(fun, pres.phi), pres.over):
+    if not commutes(fun, pres.phi, pres.over):
         raise InternalInvariantError("presentation legs do not commute with the lens functor")
     if not is_discrete_opfibration(pres.over):
         raise InternalInvariantError("presentation is not a discrete opfibration over the base")
@@ -228,7 +229,7 @@ def lens_from_lambda(pres: LambdaPresentation, fun: FinFunctor) -> DeltaLens:
     lifts = opfibration_lifts(pres.over)
     if lifts is None:
         raise ContractError("presentation is not a discrete opfibration over the base")
-    if not same_functor(compose_functors(fun, pres.phi), pres.over):
+    if not commutes(fun, pres.phi, pres.over):
         raise ContractError("presentation does not present this functor")
     inv_obj = {v: k for k, v in pres.phi.obj_map.items()}
     entries = {(a, u): pres.phi.mor_map[lifts[(inv_obj[a], u)]] for a, u in lens_pairs(fun)}

@@ -15,9 +15,8 @@ from .kernel import (
     FinCat,
     FinFunctor,
     GuardExceededError,
-    compose_functors,
+    commutes,
     enumerate_functors,
-    same_functor,
 )
 from .factorization import CommutingSquare, is_discrete_opfibration
 from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
@@ -34,9 +33,8 @@ def enumerate_commuting_squares(
     bottoms = enumerate_functors(f.cod, g.cod, guard)
     out = []
     for h in tops:
-        left = compose_functors(g, h)
         for k in bottoms:
-            if same_functor(left, compose_functors(k, f)):
+            if commutes(g, h, k, f):
                 out.append(CommutingSquare(f, g, h, k))
     return out
 

@@ -24,7 +24,7 @@ from .kernel import (
     InputError,
     InternalInvariantError,
     ValidationReport,
-    compose_functors,
+    commutes,
     counit_inclusion,
     discrete,
     memo_by_key,
@@ -110,9 +110,7 @@ def _verify_j(pres: JPresentation, f: FinFunctor) -> None:
         raise InternalInvariantError("identity placement leg is not initial")
     if not is_discrete_opfibration(pres.t):
         raise InternalInvariantError("coslice projection is not a discrete opfibration")
-    left = compose_functors(pres.t, pres.s)
-    right = compose_functors(f, counit_inclusion(f.dom))
-    if not same_functor(left, right):
+    if not commutes(pres.t, pres.s, f, counit_inclusion(f.dom)):
         raise InternalInvariantError("coslice legs do not factor the functor")
 
 
@@ -142,9 +140,7 @@ def j_square(sq: CommutingSquare) -> FinFunctor:
     out = _raw_j_square(jf, jg, sq.top.obj_map, sq.bottom.mor_map)
     if not validate_functor(out).ok:
         raise InternalInvariantError("coslice image of a square is not a functor")
-    if not same_functor(
-        compose_functors(jg.t, out), compose_functors(sq.bottom, jf.t)
-    ):
+    if not commutes(jg.t, out, sq.bottom, jf.t):
         raise InternalInvariantError("coslice square does not commute over the base")
     # Both sides are functors out of the discrete category on A, and so
     # agree when they agree on objects.
@@ -179,7 +175,7 @@ def nu(f: FinFunctor) -> FinFunctor:
     out = FinFunctor(upper.j, base.j, *_collapse(upper, base))
     if not validate_functor(out).ok:
         raise InternalInvariantError("multiplication is not a functor")
-    if not same_functor(compose_functors(base.t, out), upper.t):
+    if not commutes(base.t, out, upper.t):
         raise InternalInvariantError("multiplication does not live over the base")
     return out
 
@@ -245,21 +241,17 @@ def validate_semimonad(
     def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
         inner = j_square(sq)
         outer = j_square(CommutingSquare(base.t, j_object(sq.right).t, inner, sq.bottom))
-        return same_functor(
-            compose_functors(inner, trusted), compose_functors(nu(sq.right), outer)
-        )
+        return commutes(inner, trusted, nu(sq.right), outer)
 
     return _layered_report(
         (
             ("nu-functor", lambda: validate_functor(n).ok),
-            ("nu-over-base", lambda: same_functor(compose_functors(base.t, n), upper.t)),
+            ("nu-over-base", lambda: commutes(base.t, n, upper.t)),
         ),
         (
-            ("nu-unit", lambda: same_functor(
-                compose_functors(n, upper.s), counit_inclusion(base.j))),
-            ("nu-associativity", lambda: same_functor(
-                compose_functors(n, nu(base.t)),
-                compose_functors(n, _j_over_base(upper, n.obj_map)))),
+            ("nu-unit", lambda: commutes(n, upper.s, counit_inclusion(base.j))),
+            ("nu-associativity", lambda: commutes(
+                n, nu(base.t), n, _j_over_base(upper, n.obj_map))),
         ),
         f=f,
         squares=squares,
@@ -292,14 +284,12 @@ def validate_jr_algebra(alg: JrAlgebra) -> ValidationReport:
     return _layered_report(
         (
             ("structure-functor", lambda: validate_functor(p).ok),
-            ("strictness", lambda: same_functor(compose_functors(f, p), pres.t)),
+            ("strictness", lambda: commutes(f, p, pres.t)),
         ),
         (
-            ("unit", lambda: same_functor(
-                compose_functors(p, pres.s), counit_inclusion(f.dom))),
-            ("multiplication", lambda: same_functor(
-                compose_functors(p, _j_over_base(pres, p.obj_map)),
-                compose_functors(p, nu(f)))),
+            ("unit", lambda: commutes(p, pres.s, counit_inclusion(f.dom))),
+            ("multiplication", lambda: commutes(
+                p, _j_over_base(pres, p.obj_map), p, nu(f))),
         ),
     )
 
@@ -308,9 +298,7 @@ def validate_jr_morphism(sq: CommutingSquare, alg1: JrAlgebra, alg2: JrAlgebra) 
     """Check that a square of functors commutes with the structure maps."""
     if not same_functor(sq.left, alg1.functor) or not same_functor(sq.right, alg2.functor):
         raise InputError("square legs do not match the algebra functors")
-    lhs = compose_functors(alg2.structure, j_square(sq))
-    rhs = compose_functors(sq.top, alg1.structure)
-    ok = same_functor(lhs, rhs)
+    ok = commutes(alg2.structure, j_square(sq), sq.top, alg1.structure)
     return ValidationReport.from_violations([] if ok else [("structure-compat",)])
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from oracles import compare_pushout
@@ -12,6 +14,7 @@ from deltalens.kernel import (
     ContractError,
     FinFunctor,
     InputError,
+    InternalInvariantError,
     comma_to_object,
     compose_functors,
     counit_inclusion,
@@ -20,7 +23,15 @@ from deltalens.kernel import (
 )
 from deltalens.lens import compose_lenses, identity_lens, lens_pairs, validate_lens
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
-from deltalens.semimonad import j_object, j_square, jr_from_lens, nu, validate_semimonad
+from deltalens import awfs
+from deltalens.semimonad import (
+    _raw_j_square,
+    j_object,
+    j_square,
+    jr_from_lens,
+    nu,
+    validate_semimonad,
+)
 from deltalens.awfs import (
     EfId,
     EfKindI,
@@ -454,3 +465,53 @@ def test_looked_up_ids_match_retagging(corpus_funs, corpus_sqs):
             else:
                 img = EfId(h.obj_map[kind.a], k.mor_map[kind.u])
             assert on_e.mor_map[m] == ef_mor_id(g, img)
+
+
+def _raw_image(sq):
+    return _raw_j_square(
+        e_object(sq.left).j, e_object(sq.right).j, sq.top.obj_map, sq.bottom.mor_map
+    )
+
+
+# Faults in the raw coslice image of a square, each None where it does not
+# apply: a missing image, the first non-identity sent elsewhere, the first
+# object moved, and the image of a square with the same left, right and top
+# legs, a functor that keeps identity placement but lies over another bottom.
+def _none_image(on_j, siblings):
+    m = next(iter(on_j.dom.nonidentity), None)
+    return m and dataclasses.replace(on_j, mor_map={**on_j.mor_map, m: None})
+
+
+def _moved_morphism(on_j, siblings):
+    m = next(iter(on_j.dom.nonidentity), None)
+    other = next((n for n in on_j.cod.morphisms if m and n != on_j.mor_map[m]), None)
+    return other and dataclasses.replace(on_j, mor_map={**on_j.mor_map, m: other})
+
+
+def _moved_object(on_j, siblings):
+    x = on_j.dom.objects[0]
+    other = next((y for y in on_j.cod.objects if y != on_j.obj_map[x]), None)
+    return other and dataclasses.replace(on_j, obj_map={**on_j.obj_map, x: other})
+
+
+def _other_bottom(on_j, siblings):
+    return next((img for img in map(_raw_image, siblings) if img != on_j), None)
+
+
+@pytest.mark.parametrize("fault", [_none_image, _moved_morphism, _moved_object, _other_bottom])
+def test_e_square_rejects_a_faulty_coslice_image(monkeypatch, corpus_sqs, fault):
+    # e_square builds its coslice leg unchecked and leaves the functor and
+    # over-the-base facts to copair and to its own commute check.
+    siblings: dict[tuple, list] = {}
+    for _, sq in corpus_sqs:
+        siblings.setdefault((sq.left.key, sq.right.key, sq.top.key), []).append(sq)
+    applied = 0
+    for _, sq in corpus_sqs:
+        bad = fault(_raw_image(sq), siblings[(sq.left.key, sq.right.key, sq.top.key)])
+        if bad is None:
+            continue
+        applied += 1
+        monkeypatch.setattr(awfs, "_raw_j_square", lambda *args: bad)
+        with pytest.raises(InternalInvariantError):
+            e_square(sq)
+    assert applied > len(corpus_sqs) // 3

@@ -18,12 +18,16 @@ from deltalens.kernel import (
     FinCat,
     FinFunctor,
     GuardExceededError,
+    InputError,
+    commutes,
     compose_functors,
     counit_inclusion,
     discrete,
     enumerate_functors,
     identity_functor,
     lift_tag,
+    same_cat,
+    same_functor,
     tag,
     validate_category,
     validate_functor,
@@ -419,3 +423,50 @@ def test_validate_category_reports_duplicates():
     )
     report = validate_category(c)
     assert any(v[0] == "duplicate-object" for v in report.violations)
+
+
+def test_validate_functor_pins_identity_preservation():
+    # e.e = e, so sending 1_* to e keeps typing and every composite.
+    mon = CORPUS["idempotent-monoid"]
+    bad = FinFunctor(mon, mon, {"*": "*"}, {"1_*": "e", "e": "e"})
+    assert validate_functor(bad).violations == (("identity-preservation", "*"),)
+
+
+def _outcome(decide, *functors):
+    try:
+        return decide(*functors)
+    except InputError:
+        return InputError
+
+
+def _by_composites(g, f, k, h=None):
+    return same_functor(compose_functors(g, f), k if h is None else compose_functors(k, h))
+
+
+def test_commutes_is_same_functor_of_the_composites(corpus_sqs):
+    # Each square both ways round and against the next square, and legs
+    # paired up that need not compose, in the 4- and the 3-argument form.
+    seen = set()
+    squares = [sq for _, sq in corpus_sqs]
+    for sq, other in zip(squares, squares[1:] + squares[:1]):
+        f, g, h, k = sq.left, sq.right, sq.top, sq.bottom
+        gh = compose_functors(g, h)
+        # Tables that are no functor's: one morphism left out, one object moved.
+        partial = dataclasses.replace(gh, mor_map=dict(list(gh.mor_map.items())[1:]))
+        moved = dataclasses.replace(gh, obj_map={**gh.obj_map, gh.dom.objects[0]: "?"})
+        for case in (
+            (k, f, g, h), (g, h, k, f), (k, f, other.right, other.top), (k, h, g, f),
+            (h, f, other.bottom, other.left), (k, f, gh), (g, h, gh), (k, f, g), (g, f, k),
+            (g, h, partial), (g, h, moved),
+        ):
+            want = _outcome(_by_composites, *case)
+            assert _outcome(commutes, *case) == want
+            outer, inner, right = case[0], case[1], case[-1]
+            if want is InputError:
+                seen.add("not composable")
+            elif not (same_cat(inner.dom, right.dom) and same_cat(outer.cod, case[2].cod)):
+                assert want is False
+                seen.add("boundaries differ")
+            else:
+                seen.add("equal" if want else "tables differ")
+    assert seen == {"equal", "tables differ", "boundaries differ", "not composable"}
