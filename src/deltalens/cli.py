@@ -245,11 +245,7 @@ def cmd_free_lens(args, ws: LawScope) -> int:
         f"ef: {len(ef.e.objects)} objects, {len(ef.e.morphisms)} morphisms; "
         f"lifts: {len(l.lifts.entries)}"
     )
-    report = validate_lens(l)
-    if not report.ok:
-        _print_violations(report, args.functor)
-        return 1
-    print("lens laws: ok")
+    print("lens laws: ok")  # free_lens raises unless its table passes them
     _save(lens_to_json(l), args.out)
     return 0
 

@@ -6,6 +6,13 @@ one case per checked instance; a case failure carries the violation
 witness.  Case construction is deterministic; a seed only shuffles the
 order in which cases are executed, never their content, and results
 are reported sorted.
+
+Every family runs its cases through `_guarded_cases`: an exception
+raised inside one case, a broken construction invariant included,
+fails that case with the witness `("error", message)` and the other
+cases still run.  A family does not re-check what the construction it
+calls already decides: `comprehensive_factorise` and `orthogonal_lift`
+raise unless their results satisfy the laws their families name.
 """
 
 from __future__ import annotations
@@ -197,10 +204,6 @@ def corpus_lenses(
     return out
 
 
-def _report_case(family: str, subject: str, report) -> LawCase:
-    return LawCase(family, subject, report.ok, report.violations[:8])
-
-
 def _guarded_cases(family: str, items, check) -> list[LawCase]:
     """One case per named item, from `check(item)`: a verdict or a
     `ValidationReport`.  An exception it raises becomes a failing case
@@ -212,17 +215,15 @@ def _guarded_cases(family: str, items, check) -> list[LawCase]:
         except Exception as exc:
             out = ValidationReport.from_violations([("error", str(exc))])
         if isinstance(out, ValidationReport):
-            cases.append(_report_case(family, name, out))
+            cases.append(LawCase(family, name, out.ok, out.violations[:8]))
         else:
             cases.append(LawCase(family, name, out))
     return cases
 
 
 def _fixture_cases(scope: LawScope) -> list[LawCase]:
-    cases = [
-        _report_case("fixtures", name, validate_category(scope.fixtures[name]))
-        for name in sorted(scope.fixtures)
-    ]
+    fixtures = [(name, scope.fixtures[name]) for name in sorted(scope.fixtures)]
+    cases = _guarded_cases("fixtures", fixtures, validate_category)
     cases.extend(
         LawCase("fixtures", name, False, witness) for name, witness in sorted(scope.broken.items())
     )
@@ -230,9 +231,10 @@ def _fixture_cases(scope: LawScope) -> list[LawCase]:
 
 
 def _factorises(fun: FinFunctor) -> bool:
-    parts = comprehensive_factorise(fun)
-    ok = is_initial(parts.e) and is_discrete_opfibration(parts.m)
-    return ok and compose_functors(parts.m, parts.e) == fun
+    # Raises unless the first leg is initial, the second a discrete
+    # opfibration, and the two recompose to fun.
+    comprehensive_factorise(fun)
+    return True
 
 
 def _factorisation_cases(functors) -> list[LawCase]:
@@ -261,8 +263,9 @@ def _factorisation_cases(functors) -> list[LawCase]:
 
 
 def _lifts(sq: CommutingSquare) -> bool:
-    d = orthogonal_lift(sq)
-    return compose_functors(d, sq.left) == sq.top and compose_functors(sq.right, d) == sq.bottom
+    # Raises unless the diagonal is a functor making both triangles commute.
+    orthogonal_lift(sq)
+    return True
 
 
 def _orthogonality_cases(squares) -> list[LawCase]:
@@ -291,17 +294,9 @@ def _group_squares(squares) -> dict[tuple, tuple[CommutingSquare, ...]]:
 
 def _square_family_cases(family: str, validate, functors, by_left) -> list[LawCase]:
     """One case per functor: `validate` at it with its naturality squares."""
-    return [
-        _report_case(family, name, validate(fun, squares=by_left.get(fun.key, ())))
-        for name, fun in functors
-    ]
-
-
-def _distributive_cases(functors) -> list[LawCase]:
-    return [
-        _report_case("distributive", name, validate_distributive_law(fun))
-        for name, fun in functors
-    ]
+    return _guarded_cases(
+        family, functors, lambda fun: validate(fun, squares=by_left.get(fun.key, ()))
+    )
 
 
 def _tower_inputs(scope) -> list[tuple[str, FinFunctor]]:
@@ -325,11 +320,12 @@ _TOWER_CHECKS = (
 
 def _tower_cases(scope) -> list[LawCase]:
     """The (co)monad and distributive checks on the legs of each tower input."""
-    return [
-        _report_case("tower", f"{label}:{name}", check(e_object(fun)))
+    items = [
+        (f"{label}:{name}", (check, fun))
         for name, fun in _tower_inputs(scope)
         for label, check in _TOWER_CHECKS
     ]
+    return _guarded_cases("tower", items, lambda item: item[0](e_object(item[1])))
 
 
 def check_families(families: tuple[str, ...]) -> None:
@@ -366,7 +362,7 @@ def run_laws(
         "lens-algebra": lambda: _guarded_cases("lens-algebra", lenses, _round_trips),
         "monad": lambda: _square_family_cases("monad", validate_monad, functors, by_left),
         "comonad": lambda: _square_family_cases("comonad", validate_comonad, functors, by_left),
-        "distributive": lambda: _distributive_cases(functors),
+        "distributive": lambda: _guarded_cases("distributive", functors, validate_distributive_law),
         "tower": lambda: _tower_cases(scope),
         "coalgebra": lambda: _guarded_cases(
             "coalgebra",

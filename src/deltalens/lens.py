@@ -233,7 +233,4 @@ def lens_from_lambda(pres: LambdaPresentation, fun: FinFunctor) -> DeltaLens:
         raise ContractError("presentation does not present this functor")
     inv_obj = {v: k for k, v in pres.phi.obj_map.items()}
     entries = {(a, u): pres.phi.mor_map[lifts[(inv_obj[a], u)]] for a, u in lens_pairs(fun)}
-    l = DeltaLens(fun, LiftingTable(entries))
-    if not validate_lens(l).ok:
-        raise InternalInvariantError("rebuilt lifting table fails the lens laws")
-    return l
+    return DeltaLens(fun, LiftingTable(entries))

@@ -313,10 +313,7 @@ def jr_from_lens(l: DeltaLens) -> JrAlgebra:
     mor_map = {
         m: l.lift(l.target(a, u), v) for m, (a, u, v) in pres.mor_parts.items()
     }
-    alg = JrAlgebra(f, FinFunctor(pres.j, f.dom, obj_map, mor_map))
-    if not validate_jr_algebra(alg).ok:
-        raise InternalInvariantError("lens-induced structure map fails the algebra laws")
-    return alg
+    return JrAlgebra(f, FinFunctor(pres.j, f.dom, obj_map, mor_map))
 
 
 def lens_from_jr(alg: JrAlgebra) -> DeltaLens:
@@ -331,7 +328,4 @@ def lens_from_jr(alg: JrAlgebra) -> DeltaLens:
         (a, u): p.mor_map[id_of[(a, B.identity[f.obj_map[a]], u)]]
         for a, u in lens_pairs(f)
     }
-    l = DeltaLens(f, LiftingTable(entries))
-    if not validate_lens(l).ok:
-        raise InternalInvariantError("algebra-induced lifting table fails the lens laws")
-    return l
+    return DeltaLens(f, LiftingTable(entries))

@@ -23,8 +23,12 @@ from deltalens.kernel import (
 )
 from deltalens.lens import compose_lenses, identity_lens, lens_pairs, validate_lens
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
-from deltalens import awfs
+from deltalens import awfs, cli, laws
+from deltalens.cli import main
+from deltalens.laws import run_laws
 from deltalens.semimonad import (
+    JrAlgebra,
+    _collapse,
     _raw_j_square,
     j_object,
     j_square,
@@ -259,7 +263,7 @@ def test_copair_requires_matching_restrictions():
         {m: ef.e.identity[ef.lf.obj_map["1" if iv.src[m] == "0" else "0"]]
          for m in iv.morphisms if iv.is_identity(m)} | {"u": ef.e.identity[ef.lf.obj_map["0"]]},
     )
-    with pytest.raises((ContractError, InputError, KeyError)):
+    with pytest.raises(ContractError, match="disagree on placed objects"):
         copair(ef, wrong, ef.alpha)
 
 
@@ -515,3 +519,107 @@ def test_e_square_rejects_a_faulty_coslice_image(monkeypatch, corpus_sqs, fault)
         with pytest.raises(InternalInvariantError):
             e_square(sq)
     assert applied > len(corpus_sqs) // 3
+
+
+# `copair` checks only that its result is a functor; that it restricts to
+# both of its legs holds by construction or follows from that check.  These
+# three tests check the two restriction equations on the copairings built by
+# `e_square`, `mu`, `comonad_data` and `r_algebra_from_jr` over the corpus,
+# with `compose_functors` and `==` rather than `commutes`.
+def _assert_restricts(out, pres, on_a, on_j):
+    assert compose_functors(out, pres.alpha) == on_j
+    assert compose_functors(out, pres.lf) == on_a
+
+
+def test_e_square_restricts_to_its_legs(corpus_sqs):
+    for _, sq in corpus_sqs:
+        eg = e_object(sq.right)
+        _assert_restricts(
+            e_square(sq),
+            e_object(sq.left),
+            compose_functors(eg.lf, sq.top),
+            compose_functors(eg.alpha, j_square(sq)),
+        )
+
+
+def test_mu_and_comultiplication_restrict_to_their_legs(corpus_funs):
+    for _, f in corpus_funs:
+        ef = e_object(f)
+        upper, el = e_object(ef.rf), e_object(ef.lf)
+        on_j = FinFunctor(upper.j.j, ef.e, *_collapse(upper.j, ef.j))
+        _assert_restricts(mu(f), upper, identity_functor(ef.e), on_j)
+        cd = comonad_data(f)
+        _assert_restricts(cd.comultiplication, ef, el.lf, compose_functors(el.alpha, cd.delta))
+
+
+def test_extended_structure_map_restricts_to_its_legs(corpus_lens_list):
+    for _, l in corpus_lens_list:
+        jr = jr_from_lens(l)
+        out = r_algebra_from_jr(jr).structure
+        _assert_restricts(out, e_object(l.functor), identity_functor(l.functor.dom), jr.structure)
+
+
+# Fault injection for the checks that decide a construction's output in the
+# step after it.  A structure map goes wrong in one entry: the first identity
+# of its domain is sent to a non-identity, which no functor does.
+def _one_wrong_entry(fun):
+    other = next(iter(fun.cod.nonidentity), None)
+    first = fun.dom.identity[fun.dom.objects[0]]
+    return other and dataclasses.replace(fun, mor_map={**fun.mor_map, first: other})
+
+
+@pytest.mark.parametrize(
+    "module, message",
+    [
+        (laws, "structure map fails the algebra laws"),  # lens_from_jr's contract
+        (awfs, "structure map fails the coslice algebra laws"),  # r_algebra_from_jr's
+    ],
+)
+def test_lens_algebra_reports_a_faulty_structure_map(monkeypatch, corpus_lens_list, module, message):
+    def faulty(l):
+        alg = jr_from_lens(l)
+        bad = _one_wrong_entry(alg.structure)
+        return JrAlgebra(alg.functor, bad) if bad else alg
+
+    faulted = {name for name, l in corpus_lens_list if _one_wrong_entry(jr_from_lens(l).structure)}
+    monkeypatch.setattr(module, "jr_from_lens", faulty)
+    result = run_laws(families=("lens-algebra",))
+    assert len(result.cases) == len(corpus_lens_list)
+    assert len(faulted) > len(corpus_lens_list) // 2
+    for case in result.cases:
+        if case.subject in faulted:
+            assert case.witness == (("error", message),), case.subject
+        else:
+            assert case.ok, case.subject
+
+
+def _tampered_cofree(f):
+    coalg = cofree_coalgebra(f)
+    bad = _one_wrong_entry(coalg.structure)
+    return LCoalgebra(coalg.functor, bad) if bad else coalg
+
+
+def test_coalgebra_family_reports_a_tampered_cofree_coalgebra(monkeypatch, corpus_funs):
+    faulted = {
+        f"cofree:{name}" for name, f in corpus_funs
+        if _one_wrong_entry(cofree_coalgebra(f).structure)
+    }
+    monkeypatch.setattr(laws, "cofree_coalgebra", _tampered_cofree)
+    result = run_laws(families=("coalgebra",))
+    assert len(result.cases) == len(corpus_funs)
+    assert len(faulted) > len(corpus_funs) // 2
+    for case in result.cases:
+        if case.subject in faulted:
+            assert case.witness == (("structure-functor",),), case.subject
+        else:
+            assert case.ok, case.subject
+
+
+def test_lift_rejects_a_tampered_cofree_coalgebra(monkeypatch, capsys):
+    argv = ["lift", "--coalgebra", "cofree:id:interval", "--lens", "id-lens:interval",
+            "--top", "id:interval", "--bottom", "rf:id:interval"]
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "cofree_coalgebra", _tampered_cofree)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "law failure: structure map fails the coalgebra laws\n"

@@ -1,7 +1,9 @@
 import pytest
 
+from deltalens import laws
+from deltalens.cli import main
 from deltalens.fixtures import CORPUS
-from deltalens.kernel import InputError
+from deltalens.kernel import InputError, InternalInvariantError
 from deltalens.laws import (
     FAMILIES,
     LawScope,
@@ -77,3 +79,52 @@ def test_every_family_name_runs():
     fams = {c.family for c in result.cases}
     assert fams == set(quick)
     assert set(FAMILIES) >= fams
+
+
+def _raising_once(real):
+    """`real`, except that its first call raises a broken invariant."""
+    raised = []
+
+    def patched(*args, **kwargs):
+        if not raised:
+            raised.append(True)
+            raise InternalInvariantError("injected")
+        return real(*args, **kwargs)
+
+    return patched
+
+
+def test_a_raise_inside_a_case_fails_only_that_case(monkeypatch, capsys, corpus_funs):
+    real = laws.validate_monad
+    monkeypatch.setattr(laws, "validate_monad", _raising_once(real))
+    result = run_laws(families=("fixtures", "monad"))
+    assert len(result.cases) == len(CORPUS) + len(corpus_funs)
+    assert [(c.family, c.witness) for c in result.failures] == [("monad", (("error", "injected"),))]
+
+    monkeypatch.setattr(laws, "validate_monad", _raising_once(real))
+    assert main(["laws", "--families", "fixtures,monad"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        f"fixtures: {len(CORPUS)} cases, 0 failures",
+        f"monad: {len(corpus_funs)} cases, 1 failures",
+    ]
+    assert lines[2].startswith("FAIL monad ") and lines[2].endswith(" :: error injected")
+    assert lines[3:] == ["suite: FAILED"]
+
+
+@pytest.mark.parametrize(
+    "family, validator",
+    [
+        ("fixtures", "validate_category"),
+        ("semimonad", "validate_semimonad"),
+        ("comonad", "validate_comonad"),
+        ("distributive", "validate_distributive_law"),
+        ("tower", "validate_comonad"),
+    ],
+)
+def test_each_family_fails_only_the_case_that_raised(monkeypatch, family, validator):
+    scope = LawScope(fixtures={name: CORPUS[name] for name in ("interval", "terminal")})
+    monkeypatch.setattr(laws, validator, _raising_once(getattr(laws, validator)))
+    result = run_laws(scope, families=(family,))
+    assert len(result.cases) > 1
+    assert [c.witness for c in result.failures] == [(("error", "injected"),)]
