@@ -320,7 +320,7 @@ def lens_from_jr(alg: JrAlgebra) -> DeltaLens:
     """Read a lifting table off an algebra: the lift of (a, u) is the
     structure map's image of the extension of (a, identity) by u."""
     if not validate_jr_algebra(alg).ok:
-        raise ContractError("structure map fails the algebra laws")
+        raise ContractError("structure map fails the coslice algebra laws")
     f, p = alg.functor, alg.structure
     B = f.cod
     id_of = j_object(f).id_of

@@ -27,7 +27,6 @@ from deltalens import awfs, cli, laws
 from deltalens.cli import main
 from deltalens.laws import run_laws
 from deltalens.semimonad import (
-    JrAlgebra,
     _collapse,
     _raw_j_square,
     j_object,
@@ -48,6 +47,7 @@ from deltalens.awfs import (
     copair,
     e_object,
     e_square,
+    ef_base_image,
     ef_mor_id,
     free_lens,
     jr_from_r_algebra,
@@ -403,14 +403,59 @@ def test_r_algebra_structure_enumeration_matches_lens_count():
 
 
 def test_normal_forms_name_distinct_morphisms(corpus_funs):
-    # Normal forms are tuples of differing arity, so id_of inverts kinds
-    # exactly when no two morphisms share a normal form.
+    # Normal forms are tuples of differing arity, so the inverse of kinds
+    # loses nothing exactly when no two morphisms share a normal form.
     funs = [f for _, f in corpus_funs]
     assert len(funs) == 125
     for f in funs + [e_object(f).rf for f in funs]:
         ef = e_object(f)
-        assert len(ef.id_of) == len(ef.kinds) == len(ef.e.morphisms)
-        assert all(ef.id_of[k] == m for m, k in ef.kinds.items())
+        id_of = {k: m for m, k in ef.kinds.items()}
+        assert len(id_of) == len(ef.kinds) == len(ef.e.morphisms)
+
+
+def test_crossings_and_coslice_inclusion_hold_by_construction(corpus_funs):
+    # `copair` reads each crossing's coslice ids from `crossings`; here
+    # they are derived from its normal form.  Alpha is the identity on ids
+    # and Ef has the coslice's objects, so alpha is bijective on objects
+    # and faithful without a check.
+    funs = [f for _, f in corpus_funs]
+    for f in funs + [e_object(f).rf for f in funs]:
+        A, B, ef = f.dom, f.cod, e_object(f)
+        expected = [
+            (
+                m,
+                ef.j.id_of[(A.src[k.w], k.u1, k.v)],
+                k.w,
+                ef.j.id_of[(A.tgt[k.w], B.identity[f.obj_map[A.tgt[k.w]]], k.u2)],
+            )
+            for m, k in ef.kinds.items()
+            if isinstance(k, EfKindI)
+        ]
+        assert list(ef.crossings) == expected
+        assert ef.alpha.obj_map == {x: x for x in ef.j.j.objects}
+        assert ef.alpha.mor_map == {m: m for m in ef.j.j.morphisms}
+        assert ef.e.objects == ef.j.j.objects
+
+
+def test_a_wrong_base_image_fails_the_projection_check(monkeypatch, corpus_funs):
+    # A crossing k that leaves along a non-identity u2 is u2 after the
+    # crossing that leaves at (a2, 1), so Rf stops preserving that
+    # composite when k alone gets another base morphism with the same ends.
+    def fault(f):
+        B = f.cod
+        for k in e_object(f).kinds.values():
+            if isinstance(k, EfKindI) and not B.is_identity(k.u2):
+                right = ef_base_image(f, k)
+                for b in B.hom(B.src[right], B.tgt[right]):
+                    if b != right:
+                        return k, b
+        return None
+
+    f, (k, wrong) = next((f, hit) for _, f in corpus_funs if (hit := fault(f)))
+    real = awfs.ef_base_image
+    monkeypatch.setattr(awfs, "ef_base_image", lambda g, n: wrong if n == k else real(g, n))
+    with pytest.raises(InternalInvariantError, match="projection is not a functor"):
+        e_object.__wrapped__(f)
 
 
 def _assert_composites_retag(f):
@@ -568,27 +613,34 @@ def _one_wrong_entry(fun):
     return other and dataclasses.replace(fun, mor_map={**fun.mor_map, first: other})
 
 
+# A fault in the output of a link of the round trip is reported by the
+# contract of the link after it.
 @pytest.mark.parametrize(
-    "module, message",
+    "module, message, link",
     [
-        (laws, "structure map fails the algebra laws"),  # lens_from_jr's contract
-        (awfs, "structure map fails the coslice algebra laws"),  # r_algebra_from_jr's
+        (laws, "structure map fails the coslice algebra laws", "jr_from_lens"),  # lens_from_jr's
+        (awfs, "structure map fails the coslice algebra laws", "jr_from_lens"),  # r_algebra_from_jr's
+        (awfs, "structure map fails the R-algebra laws", "r_algebra_from_jr"),  # jr_from_r_algebra's
     ],
 )
-def test_lens_algebra_reports_a_faulty_structure_map(monkeypatch, corpus_lens_list, module, message):
-    def faulty(l):
-        alg = jr_from_lens(l)
+def test_lens_algebra_reports_a_faulty_structure_map(
+    monkeypatch, corpus_lens_list, module, message, link
+):
+    real = getattr(module, link)
+
+    def faulty(arg):
+        alg = real(arg)
         bad = _one_wrong_entry(alg.structure)
-        return JrAlgebra(alg.functor, bad) if bad else alg
+        return dataclasses.replace(alg, structure=bad) if bad else alg
 
     faulted = {name for name, l in corpus_lens_list if _one_wrong_entry(jr_from_lens(l).structure)}
-    monkeypatch.setattr(module, "jr_from_lens", faulty)
+    monkeypatch.setattr(module, link, faulty)
     result = run_laws(families=("lens-algebra",))
     assert len(result.cases) == len(corpus_lens_list)
     assert len(faulted) > len(corpus_lens_list) // 2
     for case in result.cases:
         if case.subject in faulted:
-            assert case.witness == (("error", message),), case.subject
+            assert case.witness == (("error", f"ContractError: {message}"),), case.subject
         else:
             assert case.ok, case.subject
 

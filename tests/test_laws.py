@@ -1,9 +1,14 @@
 import pytest
 
-from deltalens import laws
+from deltalens import awfs, laws
 from deltalens.cli import main
 from deltalens.fixtures import CORPUS
-from deltalens.kernel import InputError, InternalInvariantError
+from deltalens.kernel import (
+    InputError,
+    InternalInvariantError,
+    ValidationReport,
+    identity_functor,
+)
 from deltalens.laws import (
     FAMILIES,
     LawScope,
@@ -99,7 +104,9 @@ def test_a_raise_inside_a_case_fails_only_that_case(monkeypatch, capsys, corpus_
     monkeypatch.setattr(laws, "validate_monad", _raising_once(real))
     result = run_laws(families=("fixtures", "monad"))
     assert len(result.cases) == len(CORPUS) + len(corpus_funs)
-    assert [(c.family, c.witness) for c in result.failures] == [("monad", (("error", "injected"),))]
+    assert [(c.family, c.witness) for c in result.failures] == [
+        ("monad", (("error", "InternalInvariantError: injected"),))
+    ]
 
     monkeypatch.setattr(laws, "validate_monad", _raising_once(real))
     assert main(["laws", "--families", "fixtures,monad"]) == 1
@@ -108,7 +115,7 @@ def test_a_raise_inside_a_case_fails_only_that_case(monkeypatch, capsys, corpus_
         f"fixtures: {len(CORPUS)} cases, 0 failures",
         f"monad: {len(corpus_funs)} cases, 1 failures",
     ]
-    assert lines[2].startswith("FAIL monad ") and lines[2].endswith(" :: error injected")
+    assert lines[2].startswith("FAIL monad ") and lines[2].endswith(" :: error InternalInvariantError: injected")
     assert lines[3:] == ["suite: FAILED"]
 
 
@@ -127,4 +134,33 @@ def test_each_family_fails_only_the_case_that_raised(monkeypatch, family, valida
     monkeypatch.setattr(laws, validator, _raising_once(getattr(laws, validator)))
     result = run_laws(scope, families=(family,))
     assert len(result.cases) > 1
-    assert [c.witness for c in result.failures] == [(("error", "injected"),)]
+    assert [c.witness for c in result.failures] == [(("error", "InternalInvariantError: injected"),)]
+
+
+def test_witness_names_the_exception_type():
+    def lookup(item):
+        return {}[item]
+
+    cases = laws._guarded_cases("x", [("a", "(0,u)")], lookup)
+    assert cases == [laws.LawCase("x", "a", False, (("error", "KeyError: '(0,u)'"),))]
+
+
+def test_free_lens_family_reports_the_first_lens_violation(monkeypatch, capsys, corpus_funs):
+    # The family leaves the lens laws to `free_lens`'s own check, so a
+    # table that fails them fails exactly its case, with the violation.
+    target = identity_functor(CORPUS["interval"])
+    name = next(n for n, f in corpus_funs if f == target)
+    real = awfs.validate_lens
+
+    def failing(l):
+        if l.functor == awfs.e_object(target).rf:
+            return ValidationReport.from_violations([("missing-lift", "0", "u")])
+        return real(l)
+
+    monkeypatch.setattr(awfs, "validate_lens", failing)
+    result = run_laws(families=("free-lens",))
+    assert len(result.cases) == len(corpus_funs)
+    message = "InternalInvariantError: projection lifting table fails the lens laws: missing-lift 0 u"
+    assert [(c.subject, c.witness) for c in result.failures] == [(name, (("error", message),))]
+    assert main(["free-lens", "id:interval"]) == 1
+    assert "fails the lens laws: missing-lift 0 u" in capsys.readouterr().err
