@@ -16,12 +16,14 @@ Ef is a pushout, so a functor out of it is fixed by its two
 restrictions, one to the domain and one to the coslice, and `copair`
 builds it from them.  Every functor out of Ef that is made from other
 functors is such a copairing: E on squares (`e_square`), the collapse
-`mu` of one tower level, the split `comonad_data` that opens one, the
-extension of a coslice algebra (`r_algebra_from_jr`) and the mediator
-behind the diagonal of `lift_against_coalgebra`.  Algebras for the monad R are again exactly
-delta lenses; the free one, `free_lens`, lifts along the projection Rf
-by the morphisms of the coslice itself.  Coalgebras for the comonad L
-are the functors that lift squares into lenses.
+`mu` of one tower level, the split `comonad_data` that opens one, and
+the extension of a coslice algebra (`r_algebra_from_jr`).  Algebras for
+the monad R are again exactly delta lenses; the free one, `free_lens`,
+lifts along the projection Rf by the morphisms of the coslice itself.
+Coalgebras for the comonad L are the functors that lift squares into
+lenses: against a coalgebra (f, q) and a lens with algebra structure p,
+the diagonal of a square is p . E(top, bottom) . q
+(`lift_against_coalgebra`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .kernel import (
     commutes,
     compose_functors,
     counit_inclusion,
-    discrete,
     identity_functor,
     memo_by_key,
     same_cat,
@@ -49,12 +50,7 @@ from .kernel import (
     validate_functor,
 )
 from .factorization import CommutingSquare, is_initial, orthogonal_lift
-from .lens import (
-    DeltaLens,
-    LiftingTable,
-    lambda_presentation,
-    validate_lens,
-)
+from .lens import DeltaLens, LiftingTable, validate_lens
 from .semimonad import (
     JPresentation,
     JrAlgebra,
@@ -263,14 +259,10 @@ def e_object(f: FinFunctor) -> EfPresentation:
 
 def _verify_e(pres: EfPresentation) -> None:
     f = pres.functor
-    if not validate_category(pres.e).ok:
-        raise InternalInvariantError("glued category tables are inconsistent")
-    if not validate_functor(pres.lf).ok:
-        raise InternalInvariantError("domain inclusion is not a functor")
-    if not validate_functor(pres.alpha).ok:
-        raise InternalInvariantError("coslice inclusion is not a functor")
-    if not validate_functor(pres.rf).ok:
-        raise InternalInvariantError("projection is not a functor")
+    validate_category(pres.e).require("glued category tables are inconsistent")
+    validate_functor(pres.lf).require("domain inclusion is not a functor")
+    validate_functor(pres.alpha).require("coslice inclusion is not a functor")
+    validate_functor(pres.rf).require("projection is not a functor")
     if not commutes(pres.rf, pres.lf, f):
         raise InternalInvariantError("factorisation legs do not compose to the functor")
     if not commutes(pres.rf, pres.alpha, pres.j.t):
@@ -468,10 +460,7 @@ def free_lens(f: FinFunctor) -> DeltaLens:
     ef = e_object(f)
     entries = {(ef.j.j.src[m], v): m for m, (a, u, v) in ef.j.mor_parts.items()}
     l = DeltaLens(ef.rf, LiftingTable(entries))
-    report = validate_lens(l)
-    if not report.ok:
-        first = " ".join(str(p) for p in report.violations[0])
-        raise InternalInvariantError(f"projection lifting table fails the lens laws: {first}")
+    validate_lens(l).require("projection lifting table fails the lens laws")
     return l
 
 
@@ -548,17 +537,12 @@ def validate_comonad(
     )
 
 
-def validate_distributive_law(
-    f: FinFunctor,
-    *,
-    mu_f: FinFunctor | None = None,
-    comultiplication: FinFunctor | None = None,
-) -> ValidationReport:
+def validate_distributive_law(f: FinFunctor) -> ValidationReport:
     """Check that the split of a collapse agrees with the collapse of a
     split, the one exchange law not already forced by the (co)monads."""
     ef = e_object(f)
-    m = mu(f) if mu_f is None else mu_f
-    c = comonad_data(f).comultiplication if comultiplication is None else comultiplication
+    m = mu(f)
+    c = comonad_data(f).comultiplication
     erf = e_object(ef.rf)
     elf = e_object(ef.lf)
     exchange = lambda: e_square(CommutingSquare(erf.lf, elf.rf, c, m))
@@ -614,8 +598,9 @@ def lift_against_coalgebra(
     sq: CommutingSquare, coalg: LCoalgebra, lens: DeltaLens
 ) -> FinFunctor:
     """Solve the square: a diagonal d with d.f = top and g.d = bottom,
-    built from the coalgebra split on the left and the chosen lifts of
-    the lens on the right."""
+    the composite p . E(top, bottom) . q of the coalgebra split q of
+    the codomain of f, the square's image under E, and the R-algebra
+    structure p of the lens.  `jr_from_lens` rejects an unlawful lens."""
     f, g = sq.left, sq.right
     if not same_functor(f, coalg.functor):
         raise InputError("square left leg does not match the coalgebra functor")
@@ -623,22 +608,8 @@ def lift_against_coalgebra(
         raise InputError("square right leg does not match the lens functor")
     if not validate_l_coalgebra(coalg).ok:
         raise ContractError("structure map fails the coalgebra laws")
-    if not validate_lens(lens).ok:
-        raise ContractError("lifting table fails the lens laws")
-    ef = e_object(f)
-    pres = lambda_presentation(lens)
-    dA = discrete(f.dom)
-    top = FinFunctor(
-        dA,
-        pres.lam,
-        {a: sq.top.obj_map[a] for a in dA.objects},
-        {dA.identity[a]: pres.lam.identity[sq.top.obj_map[a]] for a in dA.objects},
-    )
-    ell = orthogonal_lift(
-        CommutingSquare(ef.j.s, pres.over, top, compose_functors(sq.bottom, ef.j.t))
-    )
-    mediator = copair(ef, sq.top, compose_functors(pres.phi, ell))
-    d = compose_functors(mediator, coalg.structure)
+    p = lens_to_r_algebra(lens).structure
+    d = compose_functors(p, compose_functors(e_square(sq), coalg.structure))
     if not commutes(d, f, sq.top):
         raise InternalInvariantError("diagonal does not restrict to the top leg")
     if not commutes(g, d, sq.bottom):

@@ -171,8 +171,7 @@ def resolve(ref: str, ws: LawScope, *kinds: str):
     if kind not in kinds:
         raise InputError(f"{ref} does not hold a {' or a '.join(kinds)}")
     if report is not None and not report.ok:
-        first = " ".join(str(p) for p in report.violations[0])
-        raise InputError(f"{kind} {ref} fails validation: {first}")
+        raise InputError(f"{kind} {ref} fails validation: {report.first}")
     return value
 
 

@@ -88,11 +88,6 @@ def tag(*parts: str) -> str:
     return "(" + ",".join(map(_escape, parts)) + ")"
 
 
-def lift_tag(obj: str, over: str) -> str:
-    """Canonical identifier "(a<=u)" for a chosen lift of `over` at `obj`."""
-    return "(" + _escape(obj) + "<=" + _escape(over) + ")"
-
-
 Violation = tuple  # (law_name, offending identifiers...)
 
 
@@ -110,6 +105,17 @@ class ValidationReport:
 
     def merged(self, other: "ValidationReport") -> "ValidationReport":
         return ValidationReport.from_violations(self.violations + other.violations)
+
+    @property
+    def first(self) -> str:
+        """The first violation, its parts joined by spaces."""
+        return " ".join(map(str, self.violations[0]))
+
+    def require(self, message: str) -> None:
+        """Raise `InternalInvariantError` ending with the first violation
+        unless the report is ok."""
+        if not self.ok:
+            raise InternalInvariantError(f"{message}: {self.first}")
 
 
 @dataclass(frozen=True, eq=True)

@@ -28,6 +28,7 @@ from .kernel import (
     GuardExceededError,
     InputError,
     ValidationReport,
+    commutes,
     compose_functors,
     counit_inclusion,
     enumerate_functors,
@@ -170,9 +171,8 @@ def corpus_squares(
                 for gname, g in by_sig[sig_g]:
                     n = 0
                     for h in tops:
-                        gh = compose_functors(g, h)
                         for k in bottoms:
-                            if gh == compose_functors(k, f):
+                            if commutes(g, h, k, f):
                                 out.append(
                                     (f"{fname}=>{gname}#{n}", CommutingSquare(f, g, h, k))
                                 )

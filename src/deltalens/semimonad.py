@@ -102,10 +102,9 @@ def j_object(f: FinFunctor) -> JPresentation:
 
 
 def _verify_j(pres: JPresentation, f: FinFunctor) -> None:
-    if not validate_category(pres.j).ok:
-        raise InternalInvariantError("coslice category tables are inconsistent")
-    if not validate_functor(pres.s).ok or not validate_functor(pres.t).ok:
-        raise InternalInvariantError("coslice structure legs are not functors")
+    validate_category(pres.j).require("coslice category tables are inconsistent")
+    legs = validate_functor(pres.s).merged(validate_functor(pres.t))
+    legs.require("coslice structure legs are not functors")
     if not is_initial(pres.s):
         raise InternalInvariantError("identity placement leg is not initial")
     if not is_discrete_opfibration(pres.t):

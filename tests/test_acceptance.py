@@ -172,6 +172,13 @@ def test_criterion_8_lifting_through_coalgebras(corpus_lens_list, corpus_sqs):
             d = lift_against_coalgebra(lifted, coalg, lens)
             assert compose_functors(d, ef.lf) == lifted.top, name
             assert compose_functors(g, d) == lifted.bottom, name
+            # q splits each object b into a pair (a, u), and d sends b to the
+            # target of the chosen lift of bottom(u) at top(a).
+            split = e_object(coalg.functor).j.obj_pairs
+            for b, x in coalg.structure.obj_map.items():
+                a, u = split[x]
+                target = lens.target(lifted.top.obj_map[a], lifted.bottom.mor_map[u])
+                assert d.obj_map[b] == target, (name, b)
             triples += 1
     elapsed = time.monotonic() - t0
     assert triples >= 20

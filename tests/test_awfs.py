@@ -21,7 +21,14 @@ from deltalens.kernel import (
     identity_functor,
     tag,
 )
-from deltalens.lens import compose_lenses, identity_lens, lens_pairs, validate_lens
+from deltalens.lens import (
+    DeltaLens,
+    LiftingTable,
+    compose_lenses,
+    identity_lens,
+    lens_pairs,
+    validate_lens,
+)
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
 from deltalens import awfs, cli, laws
 from deltalens.cli import main
@@ -391,6 +398,20 @@ def test_lift_boundary_mismatch_is_an_error():
         lift_against_coalgebra(sq, coalg, lens)
 
 
+def test_lift_rejects_an_unlawful_lens():
+    # Every lift lies over the identity of the point, so L1 holds, but the
+    # lifts of the identities are the two halves of the iso, not identities
+    # (L2), and they do not compose to themselves (L3).
+    wi, term = CORPUS["walking-iso"], CORPUS["terminal"]
+    bang = FinFunctor(wi, term, {"0": "*", "1": "*"}, {m: "1_*" for m in wi.morphisms})
+    lens = DeltaLens(bang, LiftingTable({("0", "1_*"): "f", ("1", "1_*"): "g"}))
+    assert [v[0] for v in validate_lens(lens).violations] == ["L2", "L2", "L3", "L3"]
+    ef = e_object(bang)
+    sq = CommutingSquare(ef.lf, bang, identity_functor(wi), ef.rf)
+    with pytest.raises(ContractError, match="^lifting table fails the lens laws$"):
+        lift_against_coalgebra(sq, cofree_coalgebra(bang), lens)
+
+
 def test_r_algebra_structure_enumeration_matches_lens_count():
     pp, iv = CORPUS["parallel-pair"], CORPUS["interval"]
     fun = FinFunctor(
@@ -456,6 +477,24 @@ def test_a_wrong_base_image_fails_the_projection_check(monkeypatch, corpus_funs)
     monkeypatch.setattr(awfs, "ef_base_image", lambda g, n: wrong if n == k else real(g, n))
     with pytest.raises(InternalInvariantError, match="projection is not a functor"):
         e_object.__wrapped__(f)
+
+
+def test_a_wrong_composite_is_named_by_the_glued_category_check(monkeypatch):
+    # Composing two postcompositions to the first one mistypes the
+    # composite; the error ends with the first violation of the report.
+    real = awfs.compose_ef
+
+    def wrong(f, m2, m1):
+        if isinstance(m1, EfKindII) and isinstance(m2, EfKindII):
+            return m1
+        return real(f, m2, m1)
+
+    monkeypatch.setattr(awfs, "compose_ef", wrong)
+    with pytest.raises(
+        InternalInvariantError,
+        match=r"^glued category tables are inconsistent: composite-typing \(0,1_0,f\) ",
+    ):
+        e_object.__wrapped__(identity_functor(CORPUS["walking-iso"]))
 
 
 def _assert_composites_retag(f):

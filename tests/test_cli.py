@@ -109,6 +109,19 @@ def test_lift_modes_and_failure(capsys):
     assert code == 0
 
 
+def test_lift_against_a_coalgebra_writes_the_checked_in_bytes(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    code, stdout, _ = run(
+        ["lift", "--coalgebra", "cofree:id:interval", "--lens", "id-lens:interval",
+         "--top", "id:interval", "--bottom", "rf:id:interval", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    assert stdout.startswith("diagonal objects: (0,1_0)->0, (0,u)->1, (1,1_1)->1\n")
+    expected = Path(__file__).resolve().parent / "data" / "lift_cofree_id_interval.json"
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_enumerate_command(tmp_path, capsys):
     code, out, _ = run(["enumerate", "dofs", "walking-iso", "walking-iso"], capsys)
     assert code == 0

@@ -25,7 +25,6 @@ from deltalens.kernel import (
     discrete,
     enumerate_functors,
     identity_functor,
-    lift_tag,
     same_cat,
     same_functor,
     tag,
@@ -42,12 +41,6 @@ names = st.text(
 @given(st.lists(names, min_size=1, max_size=4), st.lists(names, min_size=1, max_size=4))
 def test_tag_injective(p, q):
     assert (tag(*p) == tag(*q)) == (p == q)
-
-
-@given(names, names, names, names)
-def test_lift_tag_injective(a1, u1, a2, u2):
-    if (a1, u1) != (a2, u2):
-        assert lift_tag(a1, u1) != lift_tag(a2, u2)
 
 
 def test_fixture_tables_are_lawful():
