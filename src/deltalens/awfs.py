@@ -12,6 +12,14 @@ objects at identities, and has a three-way normal form for morphisms:
                       domain morphism w, entered along a retraction v
                       of u1 and exited along u2
 
+Composition needs no arithmetic on normal forms.  Coslice morphisms
+compose as in Jf.  A composite that involves a crossing is looked up in
+the row of crossings entering along the same coslice morphism, by the
+domain morphism crossed and the target (`_glued_compose`): the middle
+retraction between two crossings cancels, and where their domain
+morphisms compose to an identity the row holds the coslice morphism
+that the composite collapses to.
+
 Ef is a pushout, so a functor out of it is fixed by its two
 restrictions, one to the domain and one to the coslice, and `copair`
 builds it from them.  Every functor out of Ef that is made from other
@@ -66,10 +74,9 @@ from .semimonad import (
 
 # -- morphism normal forms ---------------------------------------------------
 #
-# Normal forms are named tuples, so `e_object`'s id map hashes and compares
-# them in C rather than through generated dataclass methods.  Each kind has
-# its own arity (2, 3 and 4 fields), so no two kinds are ever equal as
-# tuples, and the map inverts `kinds` by construction.
+# Normal forms are named tuples.  Each kind has its own arity (2, 3 and 4
+# fields), so no two kinds are ever equal as tuples, and `kinds` is
+# invertible by construction.
 
 
 class EfId(NamedTuple):
@@ -117,39 +124,6 @@ def ef_base_image(f: FinFunctor, m: EfMorphism) -> str:
     if isinstance(m, EfKindII):
         return m.v
     return B.compose[(m.u2, B.compose[(f.mor_map[m.w], m.v)])]
-
-
-def _kind2(f: FinFunctor, a: str, u1: str, v: str) -> EfMorphism:
-    if v in f.cod.identity_set:
-        return EfId(a, u1)
-    return EfKindII(a, u1, v)
-
-
-def _kind1(f: FinFunctor, u1: str, v: str, w: str, u2: str) -> EfMorphism:
-    if w in f.dom.identity_set:
-        return _kind2(f, f.dom.src[w], u1, f.cod.compose[(u2, v)])
-    return EfKindI(u1, v, w, u2)
-
-
-def compose_ef(f: FinFunctor, m2: EfMorphism, m1: EfMorphism) -> EfMorphism:
-    """Normal form of m2 after m1.
-
-    Crossing composites cancel the middle retraction automatically and
-    renormalise when the crossing collapses to an identity of the
-    domain.
-    """
-    if isinstance(m1, EfId):
-        return m2
-    if isinstance(m2, EfId):
-        return m1
-    B = f.cod
-    if isinstance(m1, EfKindII):
-        if isinstance(m2, EfKindII):
-            return _kind2(f, m1.a, m1.u1, B.compose[(m2.v, m1.v)])
-        return _kind1(f, m1.u1, B.compose[(m2.v, m1.v)], m2.w, m2.u2)
-    if isinstance(m2, EfKindII):
-        return _kind1(f, m1.u1, m1.v, m1.w, B.compose[(m2.v, m1.u2)])
-    return _kind1(f, m1.u1, m1.v, f.dom.compose[(m2.w, m1.w)], m2.u2)
 
 
 # -- the factorisation -------------------------------------------------------
@@ -201,10 +175,11 @@ def e_object(f: FinFunctor) -> EfPresentation:
     """Build (and cache) the glued factorisation of f."""
     A, B = f.dom, f.cod
     jp = j_object(f)
+    J, placed = jp.j, jp.s.obj_map
     kinds: dict[str, EfMorphism] = {}
     for m, (a, u, v) in jp.mor_parts.items():
         kinds[m] = EfId(a, u) if B.is_identity(v) else EfKindII(a, u, v)
-    src, tgt = dict(jp.j.src), dict(jp.j.tgt)
+    src, tgt = dict(J.src), dict(J.tgt)
     crossings = []
     retr = {a: retraction_pairs(f, a) for a in A.objects}
     for w in A.nonidentity:
@@ -218,43 +193,67 @@ def e_object(f: FinFunctor) -> EfPresentation:
                 src[m] = jp.id_of[(a1, u1)]
                 tgt[m] = jp.id_of[(a2, u2)]
                 crossings.append((m, jp.id_of[(a1, u1, v)], w, jp.id_of[(a2, one, u2)]))
-    id_of = {k: m for m, k in kinds.items()}
-    identity = dict(jp.j.identity)
-
-    out_of: dict[str, list[tuple[str, EfMorphism]]] = {x: [] for x in jp.j.objects}
-    for m, k in kinds.items():
-        out_of[src[m]].append((m, k))
-    compose: dict[tuple[str, str], str] = {}
-    for m1, k1 in kinds.items():
-        for m2, k2 in out_of[tgt[m1]]:
-            compose[(m2, m1)] = id_of.get(compose_ef(f, k2, k1))
-
-    e = FinCat(jp.j.objects, tuple(kinds), src, tgt, identity, compose)
-    placed = jp.s.obj_map
-    lf = FinFunctor(
-        A,
-        e,
-        dict(placed),
-        {
-            m: identity[placed[A.src[m]]]
-            if A.is_identity(m)
-            else id_of[
-                EfKindI(
-                    B.identity[f.obj_map[A.src[m]]],
-                    B.identity[f.obj_map[A.src[m]]],
-                    m,
-                    B.identity[f.obj_map[A.tgt[m]]],
-                )
-            ]
-            for m in A.morphisms
-        },
-    )
+    compose = _glued_compose(jp, A, crossings)
+    e = FinCat(J.objects, tuple(kinds), src, tgt, dict(J.identity), compose)
+    # Lf(w) is the crossing through w that enters and leaves along identities.
+    ids = J.identity_set
+    lf_map = {w: m for m, enter, w, exit_ in crossings if enter in ids and exit_ in ids}
+    lf_map.update({A.identity[a]: J.identity[placed[a]] for a in A.objects})
+    lf = FinFunctor(A, e, dict(placed), lf_map)
     rf_map = {m: ef_base_image(f, k) for m, k in kinds.items()}
     rf = FinFunctor(e, B, {x: B.tgt[u] for x, (a, u) in jp.obj_pairs.items()}, rf_map)
-    alpha = FinFunctor(jp.j, e, {x: x for x in jp.j.objects}, {m: m for m in jp.j.morphisms})
+    alpha = FinFunctor(J, e, {x: x for x in J.objects}, {m: m for m in J.morphisms})
     pres = EfPresentation(f, jp, e, lf, rf, alpha, kinds, tuple(crossings))
     _verify_e(pres)
     return pres
+
+
+def _glued_compose(
+    jp: JPresentation, A: FinCat, crossings: list[tuple[str, str, str, str]]
+) -> dict[tuple[str, str], str]:
+    """Ef's composition table, by lookups in Jf's table and in rows of
+    crossings.
+
+    rows[enter][w][y] is the crossing that enters along the coslice
+    morphism `enter` into a placed object (a, 1), crosses through w and
+    lands on the object y.  Its collapse entries rows[enter][1_a][y] hold
+    the coslice composite c . enter for each c: (a, 1) -> y.  Coslice
+    morphisms compose as in Jf, and for a crossing m1 in rows[enter][w][y]
+
+      m1 then a coslice c: y -> z         is rows[enter][w][z],
+      m1 then a crossing of row enter2    is rows[enter][w2.w][z]: the
+        through w2 to z                   middle retraction cancels,
+      a coslice c, then a crossing of     is rows[enter2 . c][w2][z].
+        row enter2 through w2 to z
+    """
+    J, placed, ids = jp.j, jp.s.obj_map, A.identity_set
+    ends = {x: [(c, J.tgt[c]) for c in J.out(x)] for x in J.objects}
+    rows: dict[str, dict[str, dict[str, str]]] = {}
+    for m, enter, w, exit_ in crossings:
+        row = rows.get(enter)
+        if row is None:
+            a = A.src[w]
+            collapse = {y: J.compose[(c, enter)] for c, y in ends[placed[a]]}
+            row = rows[enter] = {A.identity[a]: collapse}
+        row.setdefault(w, {})[J.tgt[exit_]] = m
+    # leaving[x]: (enter, w, rows[enter][w]) for the crossings out of x
+    leaving: dict[str, list[tuple[str, str, dict[str, str]]]] = {x: [] for x in J.objects}
+    for enter, row in rows.items():
+        leaving[J.src[enter]].extend((enter, w, to) for w, to in row.items() if w not in ids)
+    compose = dict(J.compose)
+    for groups in leaving.values():
+        for enter, w, to in groups:
+            row = rows[enter]
+            for y, m1 in to.items():
+                compose.update({(c, m1): to[z] for c, z in ends[y]})
+                for _, w2, to2 in leaving[y]:
+                    through = row[A.compose[(w2, w)]]
+                    compose.update({(m2, m1): through[z] for z, m2 in to2.items()})
+    for c in J.morphisms:
+        for enter2, w2, to2 in leaving[J.tgt[c]]:
+            through = rows[J.compose[(enter2, c)]][w2]
+            compose.update({(m2, c): through[z] for z, m2 in to2.items()})
+    return compose
 
 
 def _verify_e(pres: EfPresentation) -> None:

@@ -79,7 +79,7 @@ def validate_lens(l: DeltaLens) -> ValidationReport:
     v: list[tuple] = []
     fun = l.functor
     A, B = fun.dom, fun.cod
-    wanted = set(lens_pairs(fun))
+    wanted, known = set(lens_pairs(fun)), set(A.morphisms)
     for pair in sorted(set(l.lifts.entries) - wanted):
         v.append(("stray-lift", *pair))
     for (a, u) in sorted(wanted):
@@ -87,7 +87,7 @@ def validate_lens(l: DeltaLens) -> ValidationReport:
         if m is None:
             v.append(("missing-lift", a, u))
             continue
-        if m not in set(A.morphisms):
+        if m not in known:
             v.append(("unknown-lift", a, u, m))
             continue
         if A.src[m] != a:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from deltalens.awfs import e_object
 from deltalens.laws import (
     corpus_functors,
     corpus_lenses,
@@ -32,3 +33,11 @@ def corpus_sqs(scope, corpus_funs):
 @pytest.fixture(scope="session")
 def corpus_lens_list(scope, corpus_funs):
     return corpus_lenses(scope, corpus_funs)
+
+
+@pytest.fixture(scope="session")
+def pinned_depth_3(corpus_funs):
+    """The functor rf of E(lf of f) for f = walking-iso->walking-iso#1,
+    whose glued category, at depth 3, has 32,768 composable pairs."""
+    f = dict(corpus_funs)["walking-iso->walking-iso#1"]
+    return e_object(e_object(f).lf).rf

@@ -5,12 +5,14 @@ the pushout oracle builds the amalgamated category from generator words,
 the diagonal oracle searches all functors, the associativity, totality
 and composition oracles sweep every triple or pair of morphisms, the
 closure oracle composes any two reached morphisms until nothing is new,
-connectivity walks the underlying graph, and an isomorphism is a
-functor bijective on objects and on morphisms.
+connectivity walks the underlying graph, an isomorphism is a functor
+bijective on objects and on morphisms, and the normal-form composite of
+two glued-category morphisms is worked out from their parts.
 """
 
 from __future__ import annotations
 
+from deltalens.awfs import EfId, EfKindI, EfKindII, EfMorphism
 from deltalens.kernel import FinCat, FinFunctor, compose_functors, enumerate_functors
 from deltalens.semimonad import j_object
 
@@ -279,3 +281,35 @@ def is_isomorphism(fun: FinFunctor) -> bool:
         len(set(obj)) == len(obj) == len(fun.cod.objects)
         and len(set(mor)) == len(mor) == len(fun.cod.morphisms)
     )
+
+
+def _kind2(f: FinFunctor, a: str, u1: str, v: str) -> EfMorphism:
+    if v in f.cod.identity_set:
+        return EfId(a, u1)
+    return EfKindII(a, u1, v)
+
+
+def _kind1(f: FinFunctor, u1: str, v: str, w: str, u2: str) -> EfMorphism:
+    if w in f.dom.identity_set:
+        return _kind2(f, f.dom.src[w], u1, f.cod.compose[(u2, v)])
+    return EfKindI(u1, v, w, u2)
+
+
+def compose_ef(f: FinFunctor, m2: EfMorphism, m1: EfMorphism) -> EfMorphism:
+    """Normal form of m2 after m1 in the glued category of f.
+
+    Crossing composites cancel the middle retraction and renormalise
+    when the crossing collapses to an identity of the domain.
+    """
+    if isinstance(m1, EfId):
+        return m2
+    if isinstance(m2, EfId):
+        return m1
+    B = f.cod
+    if isinstance(m1, EfKindII):
+        if isinstance(m2, EfKindII):
+            return _kind2(f, m1.a, m1.u1, B.compose[(m2.v, m1.v)])
+        return _kind1(f, m1.u1, B.compose[(m2.v, m1.v)], m2.w, m2.u2)
+    if isinstance(m2, EfKindII):
+        return _kind1(f, m1.u1, m1.v, m1.w, B.compose[(m2.v, m1.u2)])
+    return _kind1(f, m1.u1, m1.v, f.dom.compose[(m2.w, m1.w)], m2.u2)

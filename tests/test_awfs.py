@@ -1,8 +1,9 @@
 import dataclasses
+import hashlib
 
 import pytest
 
-from oracles import compare_pushout
+from oracles import _kind1, _kind2, compare_pushout, compose_ef
 
 from deltalens.fixtures import CORPUS
 from deltalens.factorization import (
@@ -33,6 +34,7 @@ from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structu
 from deltalens import awfs, cli, laws
 from deltalens.cli import main
 from deltalens.laws import run_laws
+from deltalens.serialization import canonical_dumps, category_to_json
 from deltalens.semimonad import (
     _collapse,
     _raw_j_square,
@@ -50,7 +52,6 @@ from deltalens.awfs import (
     RAlgebra,
     cofree_coalgebra,
     comonad_data,
-    compose_ef,
     copair,
     e_object,
     e_square,
@@ -69,7 +70,6 @@ from deltalens.awfs import (
     validate_monad,
     validate_r_algebra,
 )
-from deltalens.awfs import _kind1, _kind2
 
 
 def test_interval_identity_normal_form_is_pinned():
@@ -480,21 +480,30 @@ def test_a_wrong_base_image_fails_the_projection_check(monkeypatch, corpus_funs)
 
 
 def test_a_wrong_composite_is_named_by_the_glued_category_check(monkeypatch):
-    # Composing two postcompositions to the first one mistypes the
-    # composite; the error ends with the first violation of the report.
-    real = awfs.compose_ef
+    # One entry of the table that `e_object` builds is replaced by its
+    # first factor, which has the wrong target; the error ends with the
+    # first violation of the report, which names that entry.
+    pair = ("(0,1_0,f)", "(0,f,g)")
+    real = awfs._glued_compose
 
-    def wrong(f, m2, m1):
-        if isinstance(m1, EfKindII) and isinstance(m2, EfKindII):
-            return m1
-        return real(f, m2, m1)
+    def wrong(*args):
+        table = real(*args)
+        assert table[pair] == "(0,f,1_1)"
+        return {**table, pair: pair[1]}
 
-    monkeypatch.setattr(awfs, "compose_ef", wrong)
+    monkeypatch.setattr(awfs, "_glued_compose", wrong)
     with pytest.raises(
         InternalInvariantError,
-        match=r"^glued category tables are inconsistent: composite-typing \(0,1_0,f\) ",
+        match=r"^glued category tables are inconsistent: composite-typing \(0,1_0,f\) \(0,f,g\) \(0,f,g\)$",
     ):
         e_object.__wrapped__(identity_functor(CORPUS["walking-iso"]))
+
+
+def test_pinned_depth_3_canonical_json_is_pinned(pinned_depth_3):
+    text = canonical_dumps(category_to_json(e_object(pinned_depth_3).e))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "921434be44970e2a543b2b3b13d3a4db067027b1b3f0b17da0eb03cf4bd44b0f"
+    )
 
 
 def _assert_composites_retag(f):
@@ -525,10 +534,10 @@ def _assert_composites_retag(f):
             assert m == tag(A.compose[(w2, w1)], u3)
 
 
-def test_looked_up_ids_match_retagging(corpus_funs, corpus_sqs):
+def test_looked_up_ids_match_retagging(corpus_funs, corpus_sqs, pinned_depth_3):
     funs = [f for _, f in corpus_funs]
     assert len(funs) == 125
-    for f in funs + [e_object(f).rf for f in funs]:
+    for f in funs + [e_object(f).rf for f in funs] + [pinned_depth_3]:
         _assert_composites_retag(f)
 
     # The normal-form image of a square, worked out here from the kinds,

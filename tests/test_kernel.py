@@ -267,16 +267,11 @@ def test_functor_report_matches_naive_sweep(corpus_funs, data):
     assert _composition_found(broken) == composition_violations(broken)
 
 
-def _pinned_depth_3(corpus_funs) -> FinCat:
-    f = dict(corpus_funs)["walking-iso->walking-iso#1"]
-    return e_object(e_object(e_object(f).lf).rf).e
-
-
-def test_generators_generate(corpus_funs):
+def test_generators_generate(corpus_funs, pinned_depth_3):
     subjects = list(CORPUS.items())
     for name, f in corpus_funs:
         subjects += [(f"J {name}", j_object(f).j), (f"E {name}", e_object(f).e)]
-    pinned = _pinned_depth_3(corpus_funs)
+    pinned = e_object(pinned_depth_3).e
     subjects.append(("pinned", pinned))
     for name, c in subjects:
         gens = c.generators
