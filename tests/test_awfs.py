@@ -14,13 +14,16 @@ from deltalens.factorization import (
 from deltalens.kernel import (
     ContractError,
     FinFunctor,
+    GuardExceededError,
     InputError,
     InternalInvariantError,
     comma_to_object,
     compose_functors,
     counit_inclusion,
+    enumerate_functors,
     identity_functor,
     tag,
+    validate_functor,
 )
 from deltalens.lens import (
     DeltaLens,
@@ -31,7 +34,7 @@ from deltalens.lens import (
     validate_lens,
 )
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
-from deltalens import awfs, cli, laws
+from deltalens import awfs, cli, laws, semimonad
 from deltalens.cli import main
 from deltalens.laws import run_laws
 from deltalens.serialization import canonical_dumps, category_to_json
@@ -597,8 +600,8 @@ def _other_bottom(on_j, siblings):
 
 @pytest.mark.parametrize("fault", [_none_image, _moved_morphism, _moved_object, _other_bottom])
 def test_e_square_rejects_a_faulty_coslice_image(monkeypatch, corpus_sqs, fault):
-    # e_square builds its coslice leg unchecked and leaves the functor and
-    # over-the-base facts to copair and to its own commute check.
+    # e_square leaves every fact of its coslice leg to j_square, which
+    # builds the raw image and checks it on Jf.
     siblings: dict[tuple, list] = {}
     for _, sq in corpus_sqs:
         siblings.setdefault((sq.left.key, sq.right.key, sq.top.key), []).append(sq)
@@ -608,18 +611,42 @@ def test_e_square_rejects_a_faulty_coslice_image(monkeypatch, corpus_sqs, fault)
         if bad is None:
             continue
         applied += 1
-        monkeypatch.setattr(awfs, "_raw_j_square", lambda *args: bad)
+        monkeypatch.setattr(semimonad, "_raw_j_square", lambda *args: bad)
         with pytest.raises(InternalInvariantError):
             e_square(sq)
     assert applied > len(corpus_sqs) // 3
 
 
-# `copair` checks only that its result is a functor; that it restricts to
-# both of its legs holds by construction or follows from that check.  These
-# three tests check the two restriction equations on the copairings built by
-# `e_square`, `mu`, `comonad_data` and `r_algebra_from_jr` over the corpus,
-# with `compose_functors` and `==` rather than `commutes`.
+# `copair` does not check its result: from functor legs that agree on
+# placed objects it builds a functor that restricts to both, by the
+# pushout argument in its docstring.  The next test checks that on every
+# such pair of legs into a fixture, and these three check the result and
+# both restriction equations on the copairings built by `e_square`, `mu`,
+# `comonad_data` and `r_algebra_from_jr` over the corpus, with
+# `compose_functors` and `==` rather than `commutes`.
+def test_copairs_of_functor_legs_are_functors(corpus_funs):
+    pairs = 0
+    for _, f in corpus_funs:
+        ef = e_object(f)
+        A, placed = f.dom, ef.j.s.obj_map
+        for X in CORPUS.values():
+            try:
+                on_as = enumerate_functors(A, X, guard=10**6)
+                on_js = enumerate_functors(ef.j.j, X, guard=10**6)
+            except GuardExceededError:
+                continue
+            by_placement: dict[tuple, list] = {}
+            for on_j in on_js:
+                by_placement.setdefault(tuple(on_j.obj_map[placed[a]] for a in A.objects), []).append(on_j)
+            for on_a in on_as:
+                for on_j in by_placement.get(tuple(on_a.obj_map[a] for a in A.objects), ()):
+                    pairs += 1
+                    assert validate_functor(copair(ef, on_a, on_j)).ok
+    assert pairs == 6958
+
+
 def _assert_restricts(out, pres, on_a, on_j):
+    assert validate_functor(out).ok
     assert compose_functors(out, pres.alpha) == on_j
     assert compose_functors(out, pres.lf) == on_a
 

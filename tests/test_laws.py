@@ -18,6 +18,7 @@ from deltalens.laws import (
     default_scope,
     run_laws,
 )
+from deltalens.search import enumerate_lens_structures
 
 
 def test_unknown_family_is_rejected():
@@ -143,6 +144,28 @@ def test_witness_names_the_exception_type():
 
     cases = laws._guarded_cases("x", [("a", "(0,u)")], lookup)
     assert cases == [laws.LawCase("x", "a", False, (("error", "KeyError: '(0,u)'"),))]
+
+
+def test_free_lens_family_fails_every_other_lawful_lens_on_rf(monkeypatch, corpus_funs):
+    # Rf carries other lawful lenses; the family tells the free one apart
+    # by its R-algebra, which must be the free algebra (Rf, mu_f).
+    others = {}
+    for name, f in corpus_funs:
+        free = awfs.free_lens(f).lifts
+        found = [l for l in enumerate_lens_structures(awfs.e_object(f).rf) if l.lifts != free]
+        if found:
+            others[name] = (f, found)
+    assert sum(len(found) for _, found in others.values()) == 144
+    swap = {f.key: found[0] for f, found in others.values()}
+    monkeypatch.setattr(laws, "free_lens", lambda f: swap.get(f.key) or awfs.free_lens(f))
+    result = run_laws(families=("free-lens",))
+    assert len(result.cases) == len(corpus_funs)
+    assert sorted(c.subject for c in result.failures) == sorted(others)
+    assert all(c.witness == () for c in result.failures)
+    for name, (f, found) in others.items():
+        for l in found:
+            swap[f.key] = l
+            assert not laws._free_lens_is_free(f), name
 
 
 def test_free_lens_family_reports_the_first_lens_violation(monkeypatch, capsys, corpus_funs):
