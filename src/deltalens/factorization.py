@@ -1,14 +1,17 @@
 """The comprehensive factorisation system on finite categories.
 
 Every functor factors as an initial functor followed by a discrete
-opfibration.  Both classes are read off the pairs (a, u: fun a -> b).
-`components` puts the pairs into classes, one union-find for all b:
-fun is initial when there is exactly one class over each b, and
-`comprehensive_factorise` builds its middle category from the classes.
-`opfibration_lifts` tabulates the unique lift of each pair: fun is a
-discrete opfibration when every pair has one.  `orthogonal_lift` fills a
-commuting square whose left leg is initial and whose right leg is a
-discrete opfibration with its unique diagonal, reading both.
+opfibration.  Both classes are read off the pairs (a, u: fun a -> b),
+and both predicates are plain table computations, not cached: each is
+decided once where a construction is verified.  `_roots` puts the pairs
+into classes, one union-find for all b, each class over a single b: fun
+is initial when there is exactly one class over each b.  `components`
+names each class by its least pair, and `comprehensive_factorise` builds
+its middle category from the named classes.  `opfibration_lifts`
+tabulates the unique lift of each pair: fun is a discrete opfibration
+when every pair has one.  `orthogonal_lift` fills a commuting square
+whose left leg is initial and whose right leg is a discrete opfibration
+with its unique diagonal, reading the lifts of the right leg.
 """
 
 from __future__ import annotations
@@ -22,24 +25,22 @@ from .kernel import (
     InputError,
     InternalInvariantError,
     commutes,
-    memo_by_key,
     same_cat,
     tag,
     validate_functor,
 )
 
 
-def components(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
-    """Each pair (a, u: fun a -> b) mapped to the least pair of its class,
-    ordered by tag.
+def _roots(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
+    """Each pair (a, u: fun a -> b) mapped to the root of its class.
 
     One union-find: for w: a -> a2 and u2 out of fun a2, the pair
-    (a, u2 . fun w) joins (a2, u2).  The classes over b are the connected
+    (a, u2 . fun w) joins (a2, u2).  Both lie over the target of u2, so
+    each class lies over one b, and the classes over b are the connected
     components of the comma category fun/b.
     """
     A, B = fun.dom, fun.cod
-    ids = {(a, u): tag(a, u) for a in A.objects for u in B.out(fun.obj_map[a])}
-    parent = {p: p for p in ids}
+    parent = {(a, u): (a, u) for a in A.objects for u in B.out(fun.obj_map[a])}
 
     def find(p: tuple[str, str]) -> tuple[str, str]:
         while parent[p] != p:
@@ -52,9 +53,20 @@ def components(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
         for u2 in B.out(fun.obj_map[A.tgt[w]]):
             r1, r2 = find((a, B.compose[(u2, fw)])), find((A.tgt[w], u2))
             if r1 != r2:
-                lo, hi = (r1, r2) if ids[r1] < ids[r2] else (r2, r1)
-                parent[hi] = lo
-    return {p: find(p) for p in ids}
+                parent[r1] = r2
+    return {p: find(p) for p in parent}
+
+
+def components(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
+    """Each pair (a, u: fun a -> b) mapped to the least pair of its class
+    (`_roots`), ordered by tag."""
+    roots = _roots(fun)
+    ids = {p: tag(*p) for p in roots}
+    least: dict[tuple[str, str], tuple[str, str]] = {}
+    for p, r in roots.items():
+        if r not in least or ids[p] < ids[least[r]]:
+            least[r] = p
+    return {p: least[r] for p, r in roots.items()}
 
 
 def opfibration_lifts(fun: FinFunctor) -> dict[tuple[str, str], str] | None:
@@ -74,21 +86,20 @@ def opfibration_lifts(fun: FinFunctor) -> dict[tuple[str, str], str] | None:
     return lifts if len(lifts) == pairs else None
 
 
-@memo_by_key
 def is_discrete_opfibration(fun: FinFunctor) -> bool:
     """True when every morphism out of the image of an object has exactly
     one lift with that source."""
     return opfibration_lifts(fun) is not None
 
 
-@memo_by_key
 def is_initial(fun: FinFunctor) -> bool:
     """True when the pairs over each object of the codomain form one class,
-    that is, when every comma category fun/b is connected."""
-    classes = dict.fromkeys(fun.cod.objects, 0)
-    for (a, u), rep in components(fun).items():
-        classes[fun.cod.tgt[u]] += rep == (a, u)
-    return all(n == 1 for n in classes.values())
+    that is, when every comma category fun/b is connected.  Each class
+    lies over one b, so this holds exactly when the classes lie over
+    every b and there are as many of them as objects of the codomain."""
+    classes = set(_roots(fun).values())
+    over = {fun.cod.tgt[u] for _, u in classes}
+    return len(classes) == len(over) == len(fun.cod.objects)
 
 
 @dataclass(frozen=True)
@@ -188,10 +199,11 @@ def orthogonal_lift(sq: CommutingSquare) -> FinFunctor:
     """The unique diagonal of a square with initial left leg and discrete
     opfibration right leg.
 
-    Anchors each object of the left leg's codomain at the least pair of
-    the one class over it, follows the unique lifts on the right, then
-    re-verifies both triangle equations and functoriality, failing loudly
-    if anything is off.
+    Anchors each object b of the left leg's codomain at any pair over it:
+    all pairs over b are in one class, and joined pairs lift to the same
+    object.  Follows the unique lifts on the right, then re-verifies both
+    triangle equations and functoriality, failing loudly if anything is
+    off.
     """
     if not is_initial(sq.left):
         raise ContractError("orthogonal_lift needs an initial left leg")
@@ -202,8 +214,8 @@ def orthogonal_lift(sq: CommutingSquare) -> FinFunctor:
     B, C = f.cod, g.dom
     d_obj = {
         B.tgt[beta]: C.tgt[lifts[(h.obj_map[a], k.mor_map[beta])]]
-        for (a, beta), rep in components(f).items()
-        if rep == (a, beta)
+        for a in f.dom.objects
+        for beta in B.out(f.obj_map[a])
     }
     d_mor = {v: lifts[(d_obj[B.src[v]], k.mor_map[v])] for v in B.morphisms}
     d = FinFunctor(B, C, d_obj, d_mor)

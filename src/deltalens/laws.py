@@ -50,12 +50,14 @@ from .lens import (
     lens_from_discrete_opfibration,
     lens_from_lambda,
     lambda_presentation,
+    validate_lens_morphism,
 )
 from .search import enumerate_lens_structures
 from .semimonad import jr_from_lens, lens_from_jr, validate_semimonad
 from .awfs import (
     cofree_coalgebra,
     e_object,
+    e_square,
     free_lens,
     lens_to_r_algebra,
     mu,
@@ -278,10 +280,25 @@ def _orthogonality_cases(squares) -> list[LawCase]:
     return _guarded_cases("orthogonality", liftable, _lifts)
 
 
-def _free_lens_is_free(fun: FinFunctor) -> bool:
+def _free_lens_is_free(fun: FinFunctor, squares, lenses_on) -> bool:
     # `free_lens` raises unless its table satisfies the lens laws; the lens
-    # is free when its R-algebra is the free one, (Rf, mu_f).
-    return lens_to_r_algebra(free_lens(fun)).structure == mu(fun)
+    # is free when its R-algebra is the free one, (Rf, mu_f), and each
+    # square fun => g with a lens on g factors through it: for p the
+    # lens's R-algebra structure, d = p . E(sq) restricts to the top leg
+    # along Lf, covers the bottom leg along Rf, and is a lens morphism.
+    free = free_lens(fun)
+    if lens_to_r_algebra(free).structure != mu(fun):
+        return False
+    ef = e_object(fun)
+    for sq in squares:
+        g = sq.right
+        for l in lenses_on.get(g.key, ()):
+            d = compose_functors(lens_to_r_algebra(l).structure, e_square(sq))
+            if not (commutes(d, ef.lf, sq.top) and commutes(g, d, sq.bottom, ef.rf)):
+                return False
+            if not validate_lens_morphism(CommutingSquare(ef.rf, g, d, sq.bottom), free, l).ok:
+                return False
+    return True
 
 
 def _round_trips(l: DeltaLens) -> bool:
@@ -354,17 +371,24 @@ def run_laws(
     check_families(wanted)
     functors, skipped = corpus_functors(scope)
     squares = corpus_squares(scope, functors) if (
-        {"orthogonality", "semimonad", "monad", "comonad"} & set(wanted)
+        {"orthogonality", "semimonad", "free-lens", "monad", "comonad"} & set(wanted)
     ) else []
-    lenses = corpus_lenses(scope, functors) if "lens-algebra" in wanted else []
+    lenses = corpus_lenses(scope, functors) if {"free-lens", "lens-algebra"} & set(wanted) else []
     by_left = _group_squares(squares)
+    lenses_on: dict[tuple, list[DeltaLens]] = {}
+    for _, l in lenses:
+        lenses_on.setdefault(l.functor.key, []).append(l)
 
     builders = {
         "fixtures": lambda: _fixture_cases(scope),
         "factorisation": lambda: _factorisation_cases(functors),
         "orthogonality": lambda: _orthogonality_cases(squares),
         "semimonad": lambda: _square_family_cases("semimonad", validate_semimonad, functors, by_left),
-        "free-lens": lambda: _guarded_cases("free-lens", functors, _free_lens_is_free),
+        "free-lens": lambda: _guarded_cases(
+            "free-lens",
+            functors,
+            lambda fun: _free_lens_is_free(fun, by_left.get(fun.key, ()), lenses_on),
+        ),
         "lens-algebra": lambda: _guarded_cases("lens-algebra", lenses, _round_trips),
         "monad": lambda: _square_family_cases("monad", validate_monad, functors, by_left),
         "comonad": lambda: _square_family_cases("comonad", validate_comonad, functors, by_left),

@@ -13,6 +13,7 @@ from deltalens.factorization import (
 )
 from deltalens.kernel import (
     ContractError,
+    FinCat,
     FinFunctor,
     GuardExceededError,
     InputError,
@@ -233,6 +234,44 @@ def test_corrupted_comultiplication_is_reported():
 def test_distributive_law_on_sample(corpus_funs):
     for name, fun in corpus_funs[:15]:
         assert validate_distributive_law(fun).ok, name
+
+
+def _relabelled(fun: FinFunctor, prefix: str) -> FinFunctor:
+    """fun with every identifier prefixed, so that no cache holds a
+    construction on it yet.  Its domain and codomain must be one category."""
+    c, r = fun.dom, lambda x: prefix + x
+    cat = FinCat(
+        tuple(map(r, c.objects)),
+        tuple(map(r, c.morphisms)),
+        {r(m): r(x) for m, x in c.src.items()},
+        {r(m): r(x) for m, x in c.tgt.items()},
+        {r(x): r(m) for x, m in c.identity.items()},
+        {(r(g), r(f)): r(gf) for (g, f), gf in c.compose.items()},
+    )
+    return FinFunctor(
+        cat,
+        cat,
+        {r(x): r(y) for x, y in fun.obj_map.items()},
+        {r(m): r(n) for m, n in fun.mor_map.items()},
+    )
+
+
+def test_verifying_a_tower_copies_no_table_into_a_key(corpus_funs):
+    # Initiality and discrete opfibrations are decided on the tables, so
+    # building and verifying J(f) and E(f) leaves their categories without
+    # a cache key; only a construction cached on a functor out of or into
+    # a category keys it (Ef, once e_object(rf) is built).
+    wi = CORPUS["walking-iso"]
+    f = _relabelled(dict(corpus_funs)["walking-iso->walking-iso#1"], "fresh.")
+    assert f.dom == f.cod != wi
+    ef = e_object(f)
+    assert "key" not in vars(ef.e)
+    assert "key" not in vars(ef.j.j)
+    assert validate_distributive_law(f).ok
+    leaf = e_object(e_object(ef.lf).rf)
+    assert "key" not in vars(ef.j.j)
+    assert "key" not in vars(leaf.e)
+    assert "key" not in vars(leaf.j.j)
 
 
 def test_algebra_structures_round_trip():

@@ -165,7 +165,27 @@ def test_free_lens_family_fails_every_other_lawful_lens_on_rf(monkeypatch, corpu
     for name, (f, found) in others.items():
         for l in found:
             swap[f.key] = l
-            assert not laws._free_lens_is_free(f), name
+            assert not laws._free_lens_is_free(f, (), {}), name
+
+
+def test_free_lens_family_fails_when_p_is_another_lenss_structure(monkeypatch, corpus_funs):
+    # Existence: each square f => g with a lens on g factors through the
+    # free lens on f as d = p . E(sq).  Another lawful lens's structure p
+    # still gives d . Lf = top and g . d = bottom . Rf, so only the lens
+    # morphism check can tell them apart.  In the corpus only g =
+    # parallel-pair->interval#1 carries two lawful lenses, so the squares
+    # are widened to reach it.
+    monkeypatch.setattr(laws, "SQUARE_FIXTURES", laws.SQUARE_FIXTURES + ("parallel-pair",))
+    g = dict(corpus_funs)["parallel-pair->interval#1"]
+    l0, l1 = enumerate_lens_structures(g)
+    assert run_laws(families=("free-lens",)).ok
+    real = awfs.lens_to_r_algebra
+    other = lambda l: l1 if l.lifts == l0.lifts else l0 if l.lifts == l1.lifts else l
+    monkeypatch.setattr(laws, "lens_to_r_algebra", lambda l: real(other(l)))
+    result = run_laws(families=("free-lens",))
+    assert len(result.cases) == len(corpus_funs)
+    assert len(result.failures) == 18
+    assert all(c.witness == () for c in result.failures)
 
 
 def test_free_lens_family_reports_the_first_lens_violation(monkeypatch, capsys, corpus_funs):
