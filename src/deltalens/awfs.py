@@ -4,13 +4,13 @@ Every functor f: A -> B factors as an initial functor Lf into a
 category Ef of formal extensions, followed by a projection Rf back onto
 B; the coslice inclusion alpha: Jf -> Ef is bijective on objects.  Ef
 glues the domain A onto the coslice category Jf along the placement of
-objects at identities, and has a three-way normal form for morphisms:
-
-  identities          one per pair (a, u)
-  postcompositions    (a, u) -> (a, v.u) for non-identity v
-  crossings           (a1, u1) -> (a2, u2) through a non-identity
-                      domain morphism w, entered along a retraction v
-                      of u1 and exited along u2
+objects at identities.  Its morphisms are the coslice morphisms, under
+their Jf ids, and the crossings (a1, u1) -> (a2, u2), one for each
+non-identity domain morphism w: a1 -> a2, retraction v of u1 and u2 out
+of the image of a2, named `tag("I", u1, v, w, u2)`: enter along v,
+cross through w, exit along u2.  The normal forms these ids stand for,
+and their composite, are kept in `tests/oracles.py` as the reference
+the tests compare Ef with.
 
 Composition needs no arithmetic on normal forms.  Coslice morphisms
 compose as in Jf.  A composite that involves a crossing is looked up in
@@ -24,7 +24,9 @@ Ef is a pushout, so a functor out of it is fixed by its two
 restrictions, one to the domain and one to the coslice, and `copair`
 builds it from them unchecked: from functor legs it builds a functor.
 Every functor out of Ef that is made from other functors is such a
-copairing, and each checks its legs where it builds them: E on squares
+copairing.  The projection Rf copairs f with the coslice projection t,
+and `_verify_e` checks it once per Ef.  Each of the others checks its
+legs where it builds them: E on squares
 (`e_square`, through `j_square`), the collapse `mu` of one tower level,
 the split `comonad_data` that opens one, and the extension of a coslice
 algebra (`r_algebra_from_jr`, through `validate_jr_algebra`).  Algebras
@@ -39,7 +41,7 @@ the diagonal of a square is p . E(top, bottom) . q
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 from .kernel import (
     ContractError,
@@ -74,60 +76,6 @@ from .semimonad import (
 )
 
 
-# -- morphism normal forms ---------------------------------------------------
-#
-# Normal forms are named tuples.  Each kind has its own arity (2, 3 and 4
-# fields), so no two kinds are ever equal as tuples, and `kinds` is
-# invertible by construction.
-
-
-class EfId(NamedTuple):
-    """The identity at (a, u)."""
-
-    a: str
-    u: str
-
-
-class EfKindII(NamedTuple):
-    """Postcomposition (a, u1) -> (a, v.u1) by a non-identity v."""
-
-    a: str
-    u1: str
-    v: str
-
-
-class EfKindI(NamedTuple):
-    """Crossing (a1, u1) -> (a2, u2): enter along a retraction v of u1,
-    cross through the non-identity w: a1 -> a2, exit along u2."""
-
-    u1: str
-    v: str
-    w: str
-    u2: str
-
-
-EfMorphism = EfId | EfKindII | EfKindI
-
-
-def ef_mor_id(f: FinFunctor, m: EfMorphism) -> str:
-    B = f.cod
-    if isinstance(m, EfId):
-        return tag(m.a, m.u, B.identity[B.tgt[m.u]])
-    if isinstance(m, EfKindII):
-        return tag(m.a, m.u1, m.v)
-    return tag("I", m.u1, m.v, m.w, m.u2)
-
-
-def ef_base_image(f: FinFunctor, m: EfMorphism) -> str:
-    """The morphism of the codomain that Rf assigns to m."""
-    B = f.cod
-    if isinstance(m, EfId):
-        return B.identity[B.tgt[m.u]]
-    if isinstance(m, EfKindII):
-        return m.v
-    return B.compose[(m.u2, B.compose[(f.mor_map[m.w], m.v)])]
-
-
 # -- the factorisation -------------------------------------------------------
 
 
@@ -137,26 +85,33 @@ class EfPresentation:
 
     functor    the functor being factored
     j          its coslice presentation
-    e          the glued category
+    e          the glued category; its ids are the coslice's and one
+               `tag("I", u1, v, w, u2)` per row of `crossings` (the
+               normal forms they stand for are kept in `tests/oracles.py`)
     lf         domain -> e, initial (not bijective on objects in general)
-    rf         e -> codomain, with f = rf . lf
     alpha      coslice -> e, the identity on identifiers; e has the
                coslice's objects, and their pairs (a, u) are in
                `j.obj_pairs`
-    kinds      morphism id -> normal form
     crossings  (m, enter, w, exit) for each crossing m: the coslice
                morphisms it enters and leaves along, and the non-identity
                domain morphism w it crosses through
+
+    The projection `rf`, e -> codomain with f = rf . lf, is a copairing
+    like every other functor out of e made from other functors: of the
+    functor with the coslice projection.  It is built on first use, in
+    `_verify_e`.
     """
 
     functor: FinFunctor
     j: JPresentation
     e: FinCat
     lf: FinFunctor
-    rf: FinFunctor
     alpha: FinFunctor
-    kinds: dict[str, EfMorphism]
     crossings: tuple[tuple[str, str, str, str], ...]
+
+    @cached_property
+    def rf(self) -> FinFunctor:
+        return copair(self, self.functor, self.j.t)
 
 
 def retraction_pairs(f: FinFunctor, a: str) -> list[tuple[str, str]]:
@@ -178,9 +133,6 @@ def e_object(f: FinFunctor) -> EfPresentation:
     A, B = f.dom, f.cod
     jp = j_object(f)
     J, placed = jp.j, jp.s.obj_map
-    kinds: dict[str, EfMorphism] = {}
-    for m, (a, u, v) in jp.mor_parts.items():
-        kinds[m] = EfId(a, u) if B.is_identity(v) else EfKindII(a, u, v)
     src, tgt = dict(J.src), dict(J.tgt)
     crossings = []
     retr = {a: retraction_pairs(f, a) for a in A.objects}
@@ -189,23 +141,19 @@ def e_object(f: FinFunctor) -> EfPresentation:
         one = B.identity[f.obj_map[a2]]
         for (u1, v) in retr[a1]:
             for u2 in B.out(f.obj_map[a2]):
-                k = EfKindI(u1, v, w, u2)
-                m = ef_mor_id(f, k)
-                kinds[m] = k
+                m = tag("I", u1, v, w, u2)
                 src[m] = jp.id_of[(a1, u1)]
                 tgt[m] = jp.id_of[(a2, u2)]
                 crossings.append((m, jp.id_of[(a1, u1, v)], w, jp.id_of[(a2, one, u2)]))
     compose = _glued_compose(jp, A, crossings)
-    e = FinCat(J.objects, tuple(kinds), src, tgt, dict(J.identity), compose)
+    e = FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), compose)
     # Lf(w) is the crossing through w that enters and leaves along identities.
     ids = J.identity_set
     lf_map = {w: m for m, enter, w, exit_ in crossings if enter in ids and exit_ in ids}
     lf_map.update({A.identity[a]: J.identity[placed[a]] for a in A.objects})
     lf = FinFunctor(A, e, dict(placed), lf_map)
-    rf_map = {m: ef_base_image(f, k) for m, k in kinds.items()}
-    rf = FinFunctor(e, B, {x: B.tgt[u] for x, (a, u) in jp.obj_pairs.items()}, rf_map)
     alpha = FinFunctor(J, e, {x: x for x in J.objects}, {m: m for m in J.morphisms})
-    pres = EfPresentation(f, jp, e, lf, rf, alpha, kinds, tuple(crossings))
+    pres = EfPresentation(f, jp, e, lf, alpha, tuple(crossings))
     _verify_e(pres)
     return pres
 

@@ -145,18 +145,18 @@ def corpus_squares(
     scope: LawScope, functors: list[tuple[str, FinFunctor]]
 ) -> list[tuple[str, CommutingSquare]]:
     """Every commuting square between corpus functors whose four corner
-    fixtures all lie in the square sub-corpus.  A signature pair whose
-    tops or bottoms exceed the guard is left out."""
-    eligible = [
-        (name, fun)
-        for name, fun in functors
-        if name.split("#")[0].split("->")[0] in SQUARE_FIXTURES
-        and name.split("#")[0].split("->")[1] in SQUARE_FIXTURES
-    ]
+    fixtures all lie in the square sub-corpus.  A functor's corners are
+    read off its categories, not its name, which a corpus file name may
+    make ambiguous.  A signature pair whose tops or bottoms exceed the
+    guard is left out."""
+    fixture_of = {
+        scope.fixtures[name].key: name for name in SQUARE_FIXTURES if name in scope.fixtures
+    }
     by_sig: dict[tuple[str, str], list[tuple[str, FinFunctor]]] = {}
-    for name, fun in eligible:
-        d, c = name.split("#")[0].split("->")
-        by_sig.setdefault((d, c), []).append((name, fun))
+    for name, fun in functors:
+        d, c = fixture_of.get(fun.dom.key), fixture_of.get(fun.cod.key)
+        if d is not None and c is not None:
+            by_sig.setdefault((d, c), []).append((name, fun))
     out: list[tuple[str, CommutingSquare]] = []
     sigs = sorted(by_sig)
     for sig_f in sigs:

@@ -6,14 +6,16 @@ the diagonal oracle searches all functors, the associativity, totality
 and composition oracles sweep every triple or pair of morphisms, the
 closure oracle composes any two reached morphisms until nothing is new,
 connectivity walks the underlying graph, an isomorphism is a functor
-bijective on objects and on morphisms, and the normal-form composite of
-two glued-category morphisms is worked out from their parts.
+bijective on objects and on morphisms, and the morphisms of the glued
+category are listed as normal forms, from the functor alone, and
+composed by working the composite out from their parts.
 """
 
 from __future__ import annotations
 
-from deltalens.awfs import EfId, EfKindI, EfKindII, EfMorphism
-from deltalens.kernel import FinCat, FinFunctor, compose_functors, enumerate_functors
+from typing import NamedTuple
+
+from deltalens.kernel import FinCat, FinFunctor, compose_functors, enumerate_functors, tag
 from deltalens.semimonad import j_object
 
 WORD_CAP = 8
@@ -281,6 +283,71 @@ def is_isomorphism(fun: FinFunctor) -> bool:
         len(set(obj)) == len(obj) == len(fun.cod.objects)
         and len(set(mor)) == len(mor) == len(fun.cod.morphisms)
     )
+
+
+# -- normal forms of the glued category's morphisms --------------------------
+#
+# Normal forms are named tuples.  Each kind has its own arity (2, 3 and 4
+# fields), so no two kinds are ever equal as tuples.
+
+
+class EfId(NamedTuple):
+    """The identity at (a, u)."""
+
+    a: str
+    u: str
+
+
+class EfKindII(NamedTuple):
+    """Postcomposition (a, u1) -> (a, v.u1) by a non-identity v."""
+
+    a: str
+    u1: str
+    v: str
+
+
+class EfKindI(NamedTuple):
+    """Crossing (a1, u1) -> (a2, u2): enter along a retraction v of u1,
+    cross through the non-identity w: a1 -> a2, exit along u2."""
+
+    u1: str
+    v: str
+    w: str
+    u2: str
+
+
+EfMorphism = EfId | EfKindII | EfKindI
+
+
+def ef_mor_id(f: FinFunctor, m: EfMorphism) -> str:
+    """The id a normal form is retagged to."""
+    B = f.cod
+    if isinstance(m, EfId):
+        return tag(m.a, m.u, B.identity[B.tgt[m.u]])
+    if isinstance(m, EfKindII):
+        return tag(m.a, m.u1, m.v)
+    return tag("I", m.u1, m.v, m.w, m.u2)
+
+
+def ef_kinds(f: FinFunctor) -> dict[str, EfMorphism]:
+    """id -> normal form, for every morphism of the glued category of f,
+    listed from f alone: the identity and the postcompositions at each
+    pair (a, u1), then the crossings, by w, then u1 and v, then u2."""
+    A, B = f.dom, f.cod
+    found: list[EfMorphism] = []
+    for a in A.objects:
+        for u1 in B.out(f.obj_map[a]):
+            found.extend(_kind2(f, a, u1, v) for v in B.out(B.tgt[u1]))
+    for w in A.nonidentity:
+        fa1, fa2 = f.obj_map[A.src[w]], f.obj_map[A.tgt[w]]
+        for u1 in B.out(fa1):
+            for v in B.hom(B.tgt[u1], fa1):
+                if B.compose[(v, u1)] == B.identity[fa1]:
+                    found.extend(EfKindI(u1, v, w, u2) for u2 in B.out(fa2))
+    kinds = {ef_mor_id(f, k): k for k in found}
+    if len(kinds) != len(found):
+        raise AssertionError("two normal forms share an id")
+    return kinds
 
 
 def _kind2(f: FinFunctor, a: str, u1: str, v: str) -> EfMorphism:

@@ -3,7 +3,18 @@ import hashlib
 
 import pytest
 
-from oracles import _kind1, _kind2, compare_pushout, compose_ef
+from oracles import (
+    EfId,
+    EfKindI,
+    EfKindII,
+    _kind1,
+    _kind2,
+    brute_force_diagonals,
+    compare_pushout,
+    compose_ef,
+    ef_kinds,
+    ef_mor_id,
+)
 
 from deltalens.fixtures import CORPUS
 from deltalens.factorization import (
@@ -33,12 +44,13 @@ from deltalens.lens import (
     identity_lens,
     lens_pairs,
     validate_lens,
+    validate_lens_morphism,
 )
 from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structures
 from deltalens import awfs, cli, laws, semimonad
 from deltalens.cli import main
 from deltalens.laws import run_laws
-from deltalens.serialization import canonical_dumps, category_to_json
+from deltalens.serialization import canonical_dumps, category_to_json, functor_to_json
 from deltalens.semimonad import (
     _collapse,
     _raw_j_square,
@@ -49,9 +61,6 @@ from deltalens.semimonad import (
     validate_semimonad,
 )
 from deltalens.awfs import (
-    EfId,
-    EfKindI,
-    EfKindII,
     LCoalgebra,
     RAlgebra,
     cofree_coalgebra,
@@ -59,8 +68,6 @@ from deltalens.awfs import (
     copair,
     e_object,
     e_square,
-    ef_base_image,
-    ef_mor_id,
     free_lens,
     jr_from_r_algebra,
     lens_to_r_algebra,
@@ -132,6 +139,37 @@ def test_free_lens_agrees_with_free_algebra_route():
         ef = e_object(fun)
         via_algebra = r_algebra_to_lens(RAlgebra(ef.rf, mu(fun)))
         assert free_lens(fun).lifts == via_algebra.lifts
+
+
+def test_free_lens_factorisations_are_unique_under_the_guard(corpus_sqs, corpus_lens_list):
+    # For a square f => g and a lens on g, the `free-lens` family checks
+    # that d = p . E(sq) is a lens morphism from the free lens on f with
+    # d . Lf = top and g . d = bottom . Rf.  Here every functor out of Ef
+    # is searched, where the guard allows, and d is the only one.
+    lenses_on: dict[tuple, list[DeltaLens]] = {}
+    for _, l in corpus_lens_list:
+        lenses_on.setdefault(l.functor.key, []).append(l)
+    within = over = 0
+    for _, sq in corpus_sqs:
+        f, g = sq.left, sq.right
+        ef = e_object(f)
+        for l in lenses_on.get(g.key, ()):
+            lifting = CommutingSquare(ef.lf, g, sq.top, compose_functors(sq.bottom, ef.rf))
+            try:
+                diagonals = brute_force_diagonals(lifting)
+            except GuardExceededError:
+                over += 1
+                continue
+            within += 1
+            free = free_lens(f)
+            found = [
+                d
+                for d in diagonals
+                if validate_lens_morphism(CommutingSquare(ef.rf, g, d, sq.bottom), free, l).ok
+            ]
+            p = lens_to_r_algebra(l).structure
+            assert found == [compose_functors(p, e_square(sq))]
+    assert (within, over) == (638, 699)
 
 
 def test_monad_laws_on_sample(corpus_funs):
@@ -466,14 +504,15 @@ def test_r_algebra_structure_enumeration_matches_lens_count():
 
 
 def test_normal_forms_name_distinct_morphisms(corpus_funs):
-    # Normal forms are tuples of differing arity, so the inverse of kinds
-    # loses nothing exactly when no two morphisms share a normal form.
+    # `ef_kinds` lists the normal forms from f alone and raises if two of
+    # them share an id, so Ef names each of its morphisms by exactly one
+    # normal form when their ids are Ef's.
     funs = [f for _, f in corpus_funs]
     assert len(funs) == 125
     for f in funs + [e_object(f).rf for f in funs]:
-        ef = e_object(f)
-        id_of = {k: m for m, k in ef.kinds.items()}
-        assert len(id_of) == len(ef.kinds) == len(ef.e.morphisms)
+        ef, kinds = e_object(f), ef_kinds(f)
+        assert len(kinds) == len(ef.e.morphisms)
+        assert set(kinds) == set(ef.e.morphisms)
 
 
 def test_crossings_and_coslice_inclusion_hold_by_construction(corpus_funs):
@@ -491,7 +530,7 @@ def test_crossings_and_coslice_inclusion_hold_by_construction(corpus_funs):
                 k.w,
                 ef.j.id_of[(A.tgt[k.w], B.identity[f.obj_map[A.tgt[k.w]]], k.u2)],
             )
-            for m, k in ef.kinds.items()
+            for m, k in ef_kinds(f).items()
             if isinstance(k, EfKindI)
         ]
         assert list(ef.crossings) == expected
@@ -501,22 +540,29 @@ def test_crossings_and_coslice_inclusion_hold_by_construction(corpus_funs):
 
 
 def test_a_wrong_base_image_fails_the_projection_check(monkeypatch, corpus_funs):
-    # A crossing k that leaves along a non-identity u2 is u2 after the
-    # crossing that leaves at (a2, 1), so Rf stops preserving that
-    # composite when k alone gets another base morphism with the same ends.
+    # A crossing m that leaves along a non-identity coslice morphism is
+    # that morphism after the crossing that leaves at (a2, 1), so Rf stops
+    # preserving that composite when m alone gets another base morphism
+    # with the same ends.
     def fault(f):
+        ef = e_object(f)
         B = f.cod
-        for k in e_object(f).kinds.values():
-            if isinstance(k, EfKindI) and not B.is_identity(k.u2):
-                right = ef_base_image(f, k)
+        for m, _, _, exit_ in ef.crossings:
+            if not B.is_identity(ef.j.t.mor_map[exit_]):
+                right = ef.rf.mor_map[m]
                 for b in B.hom(B.src[right], B.tgt[right]):
                     if b != right:
-                        return k, b
+                        return m, b
         return None
 
-    f, (k, wrong) = next((f, hit) for _, f in corpus_funs if (hit := fault(f)))
-    real = awfs.ef_base_image
-    monkeypatch.setattr(awfs, "ef_base_image", lambda g, n: wrong if n == k else real(g, n))
+    f, (m, wrong) = next((f, hit) for _, f in corpus_funs if (hit := fault(f)))
+    real = awfs.copair
+
+    def faulty(pres, on_a, on_j):
+        out = real(pres, on_a, on_j)
+        return dataclasses.replace(out, mor_map={**out.mor_map, m: wrong})
+
+    monkeypatch.setattr(awfs, "copair", faulty)
     with pytest.raises(InternalInvariantError, match="projection is not a functor"):
         e_object.__wrapped__(f)
 
@@ -542,9 +588,16 @@ def test_a_wrong_composite_is_named_by_the_glued_category_check(monkeypatch):
 
 
 def test_pinned_depth_3_canonical_json_is_pinned(pinned_depth_3):
-    text = canonical_dumps(category_to_json(e_object(pinned_depth_3).e))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    ef = e_object(pinned_depth_3)
+    digest = lambda payload: hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+    assert digest(category_to_json(ef.e)) == (
         "921434be44970e2a543b2b3b13d3a4db067027b1b3f0b17da0eb03cf4bd44b0f"
+    )
+    assert digest(functor_to_json(ef.rf)) == (
+        "ca60d3bcfbd7a5ca32e5225ca627280fee9130bbb190b23267ae94c2649ba0b1"
+    )
+    assert digest(functor_to_json(ef.lf)) == (
+        "cbf62cc5e158c9fa154324bdcdf96555cec6cbc909a0dea8ff7672f863ffabcf"
     )
 
 
@@ -557,11 +610,10 @@ def _assert_composites_retag(f):
     for (m2, m1), m in jp.j.compose.items():
         a, u, v1 = jp.mor_parts[m1]
         assert m == tag(a, u, B.compose[(jp.mor_parts[m2][2], v1)])
-    ef = e_object(f)
-    for m, k in ef.kinds.items():
-        assert m == ef_mor_id(f, k)
+    ef, kinds = e_object(f), ef_kinds(f)
+    assert set(kinds) == set(ef.e.morphisms)
     for (m2, m1), m in ef.e.compose.items():
-        assert m == ef_mor_id(f, compose_ef(f, ef.kinds[m2], ef.kinds[m1]))
+        assert m == ef_mor_id(f, compose_ef(f, kinds[m2], kinds[m1]))
     for b in B.objects:
         comma = comma_to_object(f, b)
         parts = {
@@ -586,6 +638,7 @@ def test_looked_up_ids_match_retagging(corpus_funs, corpus_sqs, pinned_depth_3):
     # is the reference for `e_square`, which copairs its two restrictions.
     squares = [sq for _, sq in corpus_sqs]
     assert len(squares) == 5109
+    kinds_of = {key: ef_kinds(f) for key, f in {sq.left.key: sq.left for sq in squares}.items()}
     for sq in squares:
         h, k, g = sq.top, sq.bottom, sq.right
         ef = e_object(sq.left)
@@ -594,7 +647,7 @@ def test_looked_up_ids_match_retagging(corpus_funs, corpus_sqs, pinned_depth_3):
             assert on_j.obj_map[x] == on_e.obj_map[x] == tag(h.obj_map[a], k.mor_map[u])
         for m, (a, u, v) in ef.j.mor_parts.items():
             assert on_j.mor_map[m] == tag(h.obj_map[a], k.mor_map[u], k.mor_map[v])
-        for m, kind in ef.kinds.items():
+        for m, kind in kinds_of[sq.left.key].items():
             if isinstance(kind, EfKindI):
                 img = _kind1(
                     g, k.mor_map[kind.u1], k.mor_map[kind.v], h.mor_map[kind.w], k.mor_map[kind.u2]

@@ -191,6 +191,20 @@ def test_laws_reports_broken_corpus_entries(tmp_path, capsys):
     assert "missing-composite" in out
 
 
+def test_corpus_names_that_look_like_functor_names_do_not_crash_the_squares(tmp_path, capsys):
+    # Square corners are read off the fixture categories, so file names
+    # holding the "->" and "#" of functor names are only names.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("interval->walking-iso.json", "interval#x.json"):
+        assert run(["jf", "id:terminal", "--out", str(corpus / name)], capsys)[0] == 0
+    code, out, _ = run(
+        ["--corpus", str(corpus), "laws", "--families", "fixtures,orthogonality"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "suite: ok"
+
+
 def test_laws_that_check_nothing_exit_1(capsys):
     args = argparse.Namespace(families="fixtures", seed=None)
     assert cmd_laws(args, LawScope({}, DEFAULT_GUARD, {})) == 1
