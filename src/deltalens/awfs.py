@@ -25,11 +25,11 @@ restrictions, one to the domain and one to the coslice, and `copair`
 builds it from them unchecked: from functor legs it builds a functor.
 Every functor out of Ef that is made from other functors is such a
 copairing.  The projection Rf copairs f with the coslice projection t,
-and `_verify_e` checks it once per Ef.  Each of the others checks its
-legs where it builds them: E on squares
-(`e_square`, through `j_square`), the collapse `mu` of one tower level,
-the split `comonad_data` that opens one, and the extension of a coslice
-algebra (`r_algebra_from_jr`, through `validate_jr_algebra`).  Algebras
+so it restricts to both, and `_verify_e` checks once per Ef that it is a
+functor.  Each of the others checks its legs where it builds them: E on
+squares (`e_square`, through `j_square`), the collapse `mu` of one tower
+level, the split `comonad_data` that opens one, and the extension of a
+coslice algebra (`r_algebra_from_jr`, through `validate_jr_algebra`).  Algebras
 for the monad R are again exactly delta lenses; the free one,
 `free_lens`, lifts along the projection Rf by the coslice morphisms.
 Coalgebras for the comonad L are the functors that lift squares into
@@ -98,8 +98,10 @@ class EfPresentation:
 
     The projection `rf`, e -> codomain with f = rf . lf, is a copairing
     like every other functor out of e made from other functors: of the
-    functor with the coslice projection.  It is built on first use, in
-    `_verify_e`.
+    functor with the coslice projection t.  It is built on first use, in
+    `_verify_e`, which checks only that it is a functor: rf . alpha = t
+    and rf . lf = f hold because every copairing restricts to its legs
+    (`copair`), and the placement check holds as t sends (a, 1) to f(a).
     """
 
     functor: FinFunctor
@@ -207,16 +209,11 @@ def _glued_compose(
 
 
 def _verify_e(pres: EfPresentation) -> None:
-    f = pres.functor
     validate_category(pres.e).require("glued category tables are inconsistent")
     validate_functor(pres.lf).require("domain inclusion is not a functor")
     validate_functor(pres.alpha).require("coslice inclusion is not a functor")
     validate_functor(pres.rf).require("projection is not a functor")
-    if not commutes(pres.rf, pres.lf, f):
-        raise InternalInvariantError("factorisation legs do not compose to the functor")
-    if not commutes(pres.rf, pres.alpha, pres.j.t):
-        raise InternalInvariantError("projection does not extend the coslice projection")
-    if not commutes(pres.alpha, pres.j.s, pres.lf, counit_inclusion(f.dom)):
+    if not commutes(pres.alpha, pres.j.s, pres.lf, counit_inclusion(pres.functor.dom)):
         raise InternalInvariantError("glueing legs disagree on placed objects")
     if not is_initial(pres.lf):
         raise InternalInvariantError("domain inclusion is not initial")
@@ -231,7 +228,8 @@ def e_square(sq: CommutingSquare) -> FinFunctor:
     coslice image on Jf.  The result commutes over the base (Rg after it
     is the bottom leg after Rf): both sides are functors out of Ef that
     agree after Lf, as g . top = bottom . f, and after alpha, by
-    `j_square` and `_verify_e` (R after alpha is the coslice projection)."""
+    `j_square` and because R after alpha is the coslice projection
+    (`EfPresentation`)."""
     ef, eg = e_object(sq.left), e_object(sq.right)
     return copair(ef, compose_functors(eg.lf, sq.top), compose_functors(eg.alpha, j_square(sq)))
 
@@ -254,8 +252,10 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
     on_j(enter1), the image of the composite crossing or, where w2.w1 is
     an identity, of the coslice collapse exit2 . enter1.  It restricts to
     on_j by construction, alpha being the identity on ids, and to on_a:
-    Lf(w), the crossing through w along placed identities, goes to
-    on_a(1) . on_a(w) . on_a(1)."""
+    Lf sends a to (a, 1) and 1_a to its identity, where the placement
+    check makes on_j agree with on_a, and a non-identity w to the crossing
+    through w along placed identities, which goes to on_a(1) . on_a(w) .
+    on_a(1) = on_a(w)."""
     A = pres.functor.dom
     if not same_cat(on_a.dom, A) or not same_cat(on_j.dom, pres.j.j):
         raise InputError("copair legs do not start at the glueing feet")
@@ -286,8 +286,9 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
 def mu(f: FinFunctor) -> FinFunctor:
     """Collapse one tower level: E(rf of f) -> Ef.  Its collapse leg is
     checked nowhere else, so the result is checked to be a functor.  Rf
-    after it is R(rf of f): the two agree after L (`_verify_e`) and after
-    alpha, where the collapse reads v straight through."""
+    after it is R(rf of f): the two agree after L (R . L is the functor
+    factored, `EfPresentation`) and after alpha, where the collapse reads
+    v straight through."""
     ef = e_object(f)
     upper = e_object(ef.rf)
     on_j = FinFunctor(upper.j.j, ef.e, *_collapse(upper.j, ef.j))
@@ -297,32 +298,25 @@ def mu(f: FinFunctor) -> FinFunctor:
 
 
 def validate_monad(
-    f: FinFunctor,
-    *,
-    squares: tuple[CommutingSquare, ...] = (),
-    mu_f: FinFunctor | None = None,
+    f: FinFunctor, *, squares: tuple[CommutingSquare, ...] = ()
 ) -> ValidationReport:
-    """Check the monad laws at f, optionally against a supplied
-    multiplication and naturality squares into other functors."""
+    """Check the monad laws of `mu` at f, and its naturality on squares
+    out of f into other functors.  `mu` has already checked that its
+    result is a functor."""
     ef = e_object(f)
     upper = e_object(ef.rf)
-    m = mu(f) if mu_f is None else mu_f
-    if not same_cat(m.dom, upper.e) or not same_cat(m.cod, ef.e):
-        raise InputError("multiplication boundary does not match the tower")
+    m = mu(f)
     one = identity_functor(ef.e)
     eta = lambda: e_square(CommutingSquare(f, ef.rf, ef.lf, identity_functor(f.cod)))
     collapse = lambda: e_square(CommutingSquare(upper.rf, ef.rf, m, identity_functor(f.cod)))
 
-    def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
+    def natural(sq: CommutingSquare) -> bool:
         inner = e_square(sq)
         outer = e_square(CommutingSquare(ef.rf, e_object(sq.right).rf, inner, sq.bottom))
-        return commutes(inner, trusted, mu(sq.right), outer)
+        return commutes(inner, m, mu(sq.right), outer)
 
     return _layered_report(
-        (
-            ("mu-functor", lambda: validate_functor(m).ok),
-            ("rf-after-mu", lambda: commutes(ef.rf, m, upper.rf)),
-        ),
+        (("rf-after-mu", lambda: commutes(ef.rf, m, upper.rf)),),
         (
             ("mu-unit-left", lambda: commutes(m, upper.lf, one)),
             ("mu-unit-right", lambda: commutes(m, eta(), one)),
@@ -330,8 +324,6 @@ def validate_monad(
         ),
         f=f,
         squares=squares,
-        supplied=m,
-        canonical=lambda: mu(f),
         naturality=("mu-naturality", natural),
     )
 
@@ -409,72 +401,52 @@ def free_lens(f: FinFunctor) -> DeltaLens:
 # -- the comonad --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComonadData:
-    """One tower level split open.
-
-    delta             coslice of f -> coslice of (lf of f)
-    comultiplication  Ef -> E(lf of f)
-    """
-
-    delta: FinFunctor
-    comultiplication: FinFunctor
-
-
 @memo_by_key
-def comonad_data(f: FinFunctor) -> ComonadData:
-    """Split one tower level open: the coslice map delta, by orthogonal
-    lifting, and the comultiplication, by copairing L(lf of f) with delta.
-    Only functoriality is checked: a copairing restricts to L(lf of f)
-    after Lf, and R(lf of f) after it is the identity, as the two agree
-    after Lf (`_verify_e`) and after alpha (`_verify_e`, `orthogonal_lift`)."""
+def comonad_data(f: FinFunctor) -> FinFunctor:
+    """Split one tower level open: the comultiplication Ef -> E(lf of f),
+    the copairing of L(lf of f) with the coslice map delta: Jf -> J(lf of
+    f), found by orthogonal lifting.  Only functoriality is checked: a
+    copairing restricts to L(lf of f) after Lf, and R(lf of f) after it
+    is the identity, as the two agree after Lf and after alpha (R . L is
+    the functor factored and R . alpha the coslice projection,
+    `EfPresentation`; `orthogonal_lift`)."""
     ef = e_object(f)
     el = e_object(ef.lf)
     delta = orthogonal_lift(
         CommutingSquare(ef.j.s, el.j.t, el.j.s, ef.alpha)
     )
-    comult = copair(ef, el.lf, compose_functors(el.alpha, delta))
-    validate_functor(comult).require("split is not a functor")
-    return ComonadData(delta, comult)
+    out = copair(ef, el.lf, compose_functors(el.alpha, delta))
+    validate_functor(out).require("split is not a functor")
+    return out
 
 
 def validate_comonad(
-    f: FinFunctor,
-    *,
-    squares: tuple[CommutingSquare, ...] = (),
-    comultiplication: FinFunctor | None = None,
+    f: FinFunctor, *, squares: tuple[CommutingSquare, ...] = ()
 ) -> ValidationReport:
-    """Check the comonad laws at f, optionally against a supplied
-    comultiplication and naturality squares out of other functors."""
+    """Check the comonad laws of `comonad_data` at f, and its naturality
+    on squares out of f into other functors.  `comonad_data` has already
+    checked that its result is a functor."""
     ef = e_object(f)
     el = e_object(ef.lf)
-    c = comonad_data(f).comultiplication if comultiplication is None else comultiplication
-    if not same_cat(c.dom, ef.e) or not same_cat(c.cod, el.e):
-        raise InputError("comultiplication boundary does not match the tower")
+    c = comonad_data(f)
     one = identity_functor(ef.e)
     counit = lambda: e_square(CommutingSquare(ef.lf, f, identity_functor(f.dom), ef.rf))
     split = lambda: e_square(CommutingSquare(ef.lf, el.lf, identity_functor(f.dom), c))
 
-    def natural(sq: CommutingSquare, trusted: FinFunctor) -> bool:
+    def natural(sq: CommutingSquare) -> bool:
         inner = e_square(sq)
         lifted = CommutingSquare(ef.lf, e_object(sq.right).lf, sq.top, inner)
-        return commutes(comonad_data(sq.right).comultiplication, inner, e_square(lifted), trusted)
+        return commutes(comonad_data(sq.right), inner, e_square(lifted), c)
 
     return _layered_report(
-        (
-            ("comultiplication-functor", lambda: validate_functor(c).ok),
-            ("delta-square", lambda: commutes(c, ef.lf, el.lf)),
-        ),
+        (("delta-square", lambda: commutes(c, ef.lf, el.lf)),),
         (
             ("counit-left", lambda: commutes(el.rf, c, one)),
             ("counit-right", lambda: commutes(counit(), c, one)),
-            ("coassociativity", lambda: commutes(
-                comonad_data(ef.lf).comultiplication, c, split(), c)),
+            ("coassociativity", lambda: commutes(comonad_data(ef.lf), c, split(), c)),
         ),
         f=f,
         squares=squares,
-        supplied=c,
-        canonical=lambda: comonad_data(f).comultiplication,
         naturality=("delta-naturality", natural),
     )
 
@@ -484,14 +456,14 @@ def validate_distributive_law(f: FinFunctor) -> ValidationReport:
     split, the one exchange law not already forced by the (co)monads."""
     ef = e_object(f)
     m = mu(f)
-    c = comonad_data(f).comultiplication
+    c = comonad_data(f)
     erf = e_object(ef.rf)
     elf = e_object(ef.lf)
     exchange = lambda: e_square(CommutingSquare(erf.lf, elf.rf, c, m))
     return _layered_report(
         (("square", lambda: commutes(elf.rf, c, m, erf.lf)),),
         (("coherence", lambda: commutes(
-            c, m, mu(ef.lf), compose_functors(exchange(), comonad_data(ef.rf).comultiplication))),),
+            c, m, mu(ef.lf), compose_functors(exchange(), comonad_data(ef.rf)))),),
     )
 
 
@@ -526,14 +498,14 @@ def validate_l_coalgebra(coalg: LCoalgebra) -> ValidationReport:
         v.append(("unit-square",))
         return ValidationReport.from_violations(v)
     coaction = CommutingSquare(f, ef.lf, identity_functor(f.dom), q)
-    if not commutes(comonad_data(f).comultiplication, q, e_square(coaction), q):
+    if not commutes(comonad_data(f), q, e_square(coaction), q):
         v.append(("comultiplication",))
     return ValidationReport.from_violations(v)
 
 
 def cofree_coalgebra(f: FinFunctor) -> LCoalgebra:
     """The canonical coalgebra on the domain inclusion of f."""
-    return LCoalgebra(e_object(f).lf, comonad_data(f).comultiplication)
+    return LCoalgebra(e_object(f).lf, comonad_data(f))
 
 
 def lift_against_coalgebra(

@@ -147,8 +147,8 @@ def corpus_squares(
     """Every commuting square between corpus functors whose four corner
     fixtures all lie in the square sub-corpus.  A functor's corners are
     read off its categories, not its name, which a corpus file name may
-    make ambiguous.  A signature pair whose tops or bottoms exceed the
-    guard is left out."""
+    make ambiguous.  Tops and bottoms are corpus functors too, so a
+    fixture pair that `corpus_functors` skipped has none."""
     fixture_of = {
         scope.fixtures[name].key: name for name in SQUARE_FIXTURES if name in scope.fixtures
     }
@@ -157,19 +157,17 @@ def corpus_squares(
         d, c = fixture_of.get(fun.dom.key), fixture_of.get(fun.cod.key)
         if d is not None and c is not None:
             by_sig.setdefault((d, c), []).append((name, fun))
+    # Two fixtures with equal tables give equal functors; each top and
+    # bottom is taken once.
+    corners = {
+        sig: list({fun.key: fun for _, fun in funs}.values()) for sig, funs in by_sig.items()
+    }
     out: list[tuple[str, CommutingSquare]] = []
     sigs = sorted(by_sig)
     for sig_f in sigs:
         for sig_g in sigs:
-            try:
-                tops = enumerate_functors(
-                    scope.fixtures[sig_f[0]], scope.fixtures[sig_g[0]], scope.guard
-                )
-                bottoms = enumerate_functors(
-                    scope.fixtures[sig_f[1]], scope.fixtures[sig_g[1]], scope.guard
-                )
-            except GuardExceededError:
-                continue  # `corpus_functors` lists the same fixture pair as skipped
+            tops = corners.get((sig_f[0], sig_g[0]), ())
+            bottoms = corners.get((sig_f[1], sig_g[1]), ())
             for fname, f in by_sig[sig_f]:
                 for gname, g in by_sig[sig_g]:
                     n = 0
@@ -352,23 +350,20 @@ def _tower_cases(scope) -> list[LawCase]:
     return _guarded_cases("tower", items, lambda item: item[0](e_object(item[1])))
 
 
-def check_families(families: tuple[str, ...]) -> None:
-    """Raise InputError naming the first entry that is not a law family."""
-    for fam in families:
-        if fam not in FAMILIES:
-            raise InputError(f"unknown law family: {fam!r}")
-
-
 def run_laws(
     scope: LawScope | None = None,
     *,
     families: tuple[str, ...] | None = None,
     seed: int | None = None,
 ) -> LawSuiteResult:
-    """Run the law suite and report one case per checked instance."""
+    """Run the law suite and report one case per checked instance.  An
+    entry of `families` that is not a law family is an InputError, raised
+    before any family runs."""
     scope = scope or default_scope()
     wanted = families if families is not None else FAMILIES
-    check_families(wanted)
+    for fam in wanted:
+        if fam not in FAMILIES:
+            raise InputError(f"unknown law family: {fam!r}")
     functors, skipped = corpus_functors(scope)
     squares = corpus_squares(scope, functors) if (
         {"orthogonality", "semimonad", "free-lens", "monad", "comonad"} & set(wanted)

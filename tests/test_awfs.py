@@ -21,6 +21,7 @@ from deltalens.factorization import (
     CommutingSquare,
     is_discrete_opfibration,
     is_initial,
+    orthogonal_lift,
 )
 from deltalens.kernel import (
     ContractError,
@@ -52,12 +53,13 @@ from deltalens.cli import main
 from deltalens.laws import run_laws
 from deltalens.serialization import canonical_dumps, category_to_json, functor_to_json
 from deltalens.semimonad import (
+    JrAlgebra,
     _collapse,
     _raw_j_square,
     j_object,
     j_square,
     jr_from_lens,
-    nu,
+    validate_jr_algebra,
     validate_semimonad,
 )
 from deltalens.awfs import (
@@ -177,25 +179,27 @@ def test_monad_laws_on_sample(corpus_funs):
         assert validate_monad(fun).ok, name
 
 
-def test_corrupted_multiplication_is_reported():
-    fun = identity_functor(CORPUS["interval"])
-    good = mu(fun)
-    mor_map = dict(good.mor_map)
-    k = next(m for m in mor_map if not good.dom.is_identity(m))
-    mor_map[k] = good.cod.identity[good.cod.tgt[mor_map[k]]]
-    bad = FinFunctor(good.dom, good.cod, dict(good.obj_map), mor_map)
-    report = validate_monad(fun, mu_f=bad)
-    assert not report.ok
-    assert report.violations[0][0] in ("mu-functor", "rf-after-mu")
-
-
 def _retarget_one_morphism(good):
-    """The corruption of the test_corrupted_* tests: one non-identity
-    morphism sent to an identity, which breaks functoriality."""
+    """One non-identity morphism sent to an identity, which breaks
+    functoriality."""
     mor_map = dict(good.mor_map)
     k = next(m for m in mor_map if not good.dom.is_identity(m))
     mor_map[k] = good.cod.identity[good.cod.tgt[mor_map[k]]]
     return FinFunctor(good.dom, good.cod, dict(good.obj_map), mor_map)
+
+
+def _retargeted_collapse(upper, base):
+    leg = _retarget_one_morphism(FinFunctor(upper.j, base.j, *_collapse(upper, base)))
+    return leg.obj_map, leg.mor_map
+
+
+def test_corrupted_multiplication_is_reported(monkeypatch):
+    # mu checks its result, the copairing of the identity with the
+    # collapse leg, which nothing else checks.
+    fun = identity_functor(CORPUS["interval"])
+    monkeypatch.setattr(awfs, "_collapse", _retargeted_collapse)
+    with pytest.raises(InternalInvariantError, match="^collapse is not a functor: "):
+        mu.__wrapped__(fun)
 
 
 def _constant(good):
@@ -211,45 +215,45 @@ def _constant(good):
 
 
 @pytest.mark.parametrize(
-    "validate, keyword, canonical, structure",
+    "module, construction, validate, structure",
     [
-        (validate_semimonad, "nu_f", nu, ("nu-functor", "nu-over-base")),
-        (validate_monad, "mu_f", mu, ("mu-functor", "rf-after-mu")),
-        (
-            validate_comonad,
-            "comultiplication",
-            lambda f: comonad_data(f).comultiplication,
-            ("comultiplication-functor", "delta-square"),
-        ),
+        (semimonad, "nu", validate_semimonad, "nu-over-base"),
+        (awfs, "mu", validate_monad, "rf-after-mu"),
+        (awfs, "comonad_data", validate_comonad, "delta-square"),
     ],
     ids=["semimonad", "monad", "comonad"],
 )
-@pytest.mark.parametrize(
-    "layer, corrupt",
-    [(0, _retarget_one_morphism), (1, _constant)],
-    ids=["not-a-functor", "not-over-the-base"],
-)
-def test_naturality_is_checked_against_the_trusted_multiplication(
-    corpus_sqs, validate, keyword, canonical, structure, layer, corrupt
+def test_a_structure_off_the_base_is_the_whole_report(
+    monkeypatch, corpus_sqs, module, construction, validate, structure
 ):
+    # The construction is replaced for the functor under test only; its
+    # failed structure check is the one violation, and the laws and the
+    # naturality squares are skipped.
     fun = identity_functor(CORPUS["interval"])
     squares = tuple(sq for _, sq in corpus_sqs if sq.left.key == fun.key)
     assert squares
-    bad = corrupt(canonical(fun))
-    report = validate(fun, squares=squares, **{keyword: bad})
-    assert report.violations == ((structure[layer],),)
+    real = getattr(module, construction)
+    bad = _constant(real(fun))
+    monkeypatch.setattr(module, construction, lambda f: bad if f.key == fun.key else real(f))
+    assert validate(fun, squares=squares).violations == ((structure,),)
+
+
+def _delta(f):
+    """The coslice map of the comultiplication at f, by orthogonal lifting."""
+    ef = e_object(f)
+    el = e_object(ef.lf)
+    return orthogonal_lift(CommutingSquare(ef.j.s, el.j.t, el.j.s, ef.alpha))
 
 
 def test_comultiplication_explicit_formula(corpus_funs):
     for name, fun in corpus_funs[:15]:
-        data = comonad_data(fun)
-        jp = j_object(fun)
+        delta = _delta(fun)
         for a in fun.dom.objects:
             fa = fun.obj_map[a]
             for u in fun.cod.out(fa):
                 source = tag(a, u)
                 expected = tag(a, ef_mor_id(fun, _kind2(fun, a, fun.cod.identity[fa], u)))
-                assert data.delta.obj_map[source] == expected, name
+                assert delta.obj_map[source] == expected, name
 
 
 def test_comonad_laws_on_sample(corpus_funs):
@@ -257,16 +261,16 @@ def test_comonad_laws_on_sample(corpus_funs):
         assert validate_comonad(fun).ok, name
 
 
-def test_corrupted_comultiplication_is_reported():
+def test_corrupted_comultiplication_is_reported(monkeypatch):
+    # comonad_data checks its result, the copairing of L(lf) with delta.
+    # E(f) and E(lf of f), whose projections are copairings too, are
+    # built before copair is patched.
     fun = identity_functor(CORPUS["interval"])
-    good = comonad_data(fun).comultiplication
-    mor_map = dict(good.mor_map)
-    k = next(m for m in mor_map if not good.dom.is_identity(m))
-    mor_map[k] = good.cod.identity[good.cod.tgt[mor_map[k]]]
-    bad = FinFunctor(good.dom, good.cod, dict(good.obj_map), mor_map)
-    report = validate_comonad(fun, comultiplication=bad)
-    assert not report.ok
-    assert report.violations[0][0] in ("comultiplication-functor", "delta-square")
+    comonad_data(fun)
+    real = awfs.copair
+    monkeypatch.setattr(awfs, "copair", lambda *args: _retarget_one_morphism(real(*args)))
+    with pytest.raises(InternalInvariantError, match="^split is not a functor: "):
+        comonad_data.__wrapped__(fun)
 
 
 def test_distributive_law_on_sample(corpus_funs):
@@ -503,6 +507,40 @@ def test_r_algebra_structure_enumeration_matches_lens_count():
     assert len(algebras) == 2
 
 
+def _census(funs, ends, make, validate):
+    """How many corpus functors exceed the guard on the candidates
+    ends(f) -> (dom, cod), and how many candidates give each list of
+    violation names."""
+    over, tally = 0, {}
+    for f in funs:
+        try:
+            candidates = enumerate_functors(*ends(f))
+        except GuardExceededError:
+            over += 1
+            continue
+        for q in candidates:
+            names = tuple(v[0] for v in validate(make(f, q)).violations)
+            tally[names] = tally.get(names, 0) + 1
+    return over, tally
+
+
+def test_structure_validator_census(corpus_funs):
+    # Every functor of the right type, under the default guard, is a
+    # candidate structure for each corpus functor; the reports pin which
+    # checks each validator runs and which failures it reports together.
+    funs = [f for _, f in corpus_funs]
+    assert len(funs) == 125
+    assert _census(
+        funs, lambda f: (f.cod, e_object(f).e), LCoalgebra, validate_l_coalgebra
+    ) == (0, {(): 14, ("section",): 15, ("unit-square",): 155, ("section", "unit-square"): 625})
+    assert _census(
+        funs, lambda f: (j_object(f).j, f.dom), JrAlgebra, validate_jr_algebra
+    ) == (11, {(): 45, ("strictness",): 926, ("unit",): 50, ("unit", "multiplication"): 25})
+    assert _census(
+        funs, lambda f: (e_object(f).e, f.dom), RAlgebra, validate_r_algebra
+    ) == (38, {(): 43, ("strictness",): 417, ("unit",): 67, ("unit", "multiplication"): 19})
+
+
 def test_normal_forms_name_distinct_morphisms(corpus_funs):
     # `ef_kinds` lists the normal forms from f alone and raises if two of
     # them share an id, so Ef names each of its morphisms by exactly one
@@ -714,8 +752,8 @@ def test_e_square_rejects_a_faulty_coslice_image(monkeypatch, corpus_sqs, fault)
 # pushout argument in its docstring.  The next test checks that on every
 # such pair of legs into a fixture, and these three check the result and
 # both restriction equations on the copairings built by `e_square`, `mu`,
-# `comonad_data` and `r_algebra_from_jr` over the corpus, with
-# `compose_functors` and `==` rather than `commutes`.
+# `comonad_data`, `r_algebra_from_jr` and the projection Rf over the
+# corpus, with `compose_functors` and `==` rather than `commutes`.
 def test_copairs_of_functor_legs_are_functors(corpus_funs):
     pairs = 0
     for _, f in corpus_funs:
@@ -758,10 +796,10 @@ def test_mu_and_comultiplication_restrict_to_their_legs(corpus_funs):
     for _, f in corpus_funs:
         ef = e_object(f)
         upper, el = e_object(ef.rf), e_object(ef.lf)
+        _assert_restricts(ef.rf, ef, f, ef.j.t)
         on_j = FinFunctor(upper.j.j, ef.e, *_collapse(upper.j, ef.j))
         _assert_restricts(mu(f), upper, identity_functor(ef.e), on_j)
-        cd = comonad_data(f)
-        _assert_restricts(cd.comultiplication, ef, el.lf, compose_functors(el.alpha, cd.delta))
+        _assert_restricts(comonad_data(f), ef, el.lf, compose_functors(el.alpha, _delta(f)))
 
 
 def test_extended_structure_map_restricts_to_its_legs(corpus_lens_list):

@@ -167,8 +167,9 @@ def test_laws_subset_runs_only_requested_families(capsys):
 
 
 def test_laws_rejects_unknown_family(capsys):
-    code, _, err = run(["laws", "--families", "nonsense"], capsys)
-    assert (code, err) == (2, "error: unknown law family: 'nonsense'\n")
+    # No family runs when a name is unknown, not even the known one before it.
+    code, out, err = run(["laws", "--families", "fixtures,nonsense"], capsys)
+    assert (code, out, err) == (2, "", "error: unknown law family: 'nonsense'\n")
 
 
 def test_laws_reports_broken_corpus_entries(tmp_path, capsys):

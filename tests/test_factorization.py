@@ -137,7 +137,7 @@ def _corpus_and_structure_legs(corpus_funs):
     for _, f in corpus_funs:
         jp, ef, parts = j_object(f), e_object(f), comprehensive_factorise(f)
         out += [f, jp.s, jp.t, ef.lf, ef.rf, ef.alpha, counit_inclusion(f.dom), mu(f)]
-        out += [comonad_data(f).comultiplication, parts.e, parts.m]
+        out += [comonad_data(f), parts.e, parts.m]
     return out
 
 

@@ -228,7 +228,7 @@ def _functor_subject(kind: str, f: FinFunctor) -> FinFunctor:
     if kind == "mu":
         return mu(f)
     if kind == "comultiplication":
-        return comonad_data(f).comultiplication
+        return comonad_data(f)
     if kind == "lf":
         return e_object(f).lf
     if kind == "lf-depth-2":

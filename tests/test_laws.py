@@ -71,6 +71,17 @@ def test_corpus_construction_is_deterministic(scope):
     assert len({n for n, _ in l1}) == len(l1)
 
 
+def test_a_fixture_under_a_second_name_adds_no_tops_or_bottoms(scope, corpus_sqs):
+    # Functors on the copy share their corners with those on the
+    # original, and equal functors are one top or bottom, so the squares
+    # between functors on the original keep their names and count.
+    wider = LawScope(fixtures={**scope.fixtures, "copy": scope.fixtures["interval"]})
+    functors, _ = corpus_functors(wider)
+    squares = corpus_squares(wider, functors)
+    assert len(squares) > len(corpus_sqs)
+    assert [(n, sq) for n, sq in squares if "copy" not in n] == corpus_sqs
+
+
 def test_corpus_has_advertised_shape(corpus_funs, corpus_sqs, corpus_lens_list):
     assert len(corpus_funs) >= 50
     assert len(corpus_sqs) >= 500
