@@ -238,6 +238,39 @@ def test_a_structure_off_the_base_is_the_whole_report(
     assert validate(fun, squares=squares).violations == ((structure,),)
 
 
+def _retargeted_copair(*args):
+    return _retarget_one_morphism(copair(*args))
+
+
+@pytest.mark.parametrize(
+    "module, construction, validate, leg, corrupt, message",
+    [
+        (semimonad, "nu", validate_semimonad, "_collapse", _retargeted_collapse,
+         "^multiplication is not a functor$"),
+        (awfs, "mu", validate_monad, "_collapse", _retargeted_collapse,
+         "^collapse is not a functor: "),
+        (awfs, "comonad_data", validate_comonad, "copair", _retargeted_copair,
+         "^split is not a functor: "),
+    ],
+    ids=["not-a-functor-semimonad", "not-a-functor-monad", "not-a-functor-comonad"],
+)
+def test_naturality_is_checked_against_the_trusted_multiplication(
+    monkeypatch, corpus_sqs, module, construction, validate, leg, corrupt, message
+):
+    # The construction is the only multiplication the validator checks
+    # squares against, and it checks itself: built uncached with a leg that
+    # is not a functor, it stops the validator before any square is checked.
+    # The unpatched run warms every other construction the squares need.
+    fun = identity_functor(CORPUS["interval"])
+    squares = tuple(sq for _, sq in corpus_sqs if sq.left.key == fun.key)
+    assert squares
+    assert validate(fun, squares=squares).ok
+    monkeypatch.setattr(module, construction, getattr(module, construction).__wrapped__)
+    monkeypatch.setattr(module, leg, corrupt)
+    with pytest.raises(InternalInvariantError, match=message):
+        validate(fun, squares=squares)
+
+
 def _delta(f):
     """The coslice map of the comultiplication at f, by orthogonal lifting."""
     ef = e_object(f)
@@ -267,8 +300,7 @@ def test_corrupted_comultiplication_is_reported(monkeypatch):
     # built before copair is patched.
     fun = identity_functor(CORPUS["interval"])
     comonad_data(fun)
-    real = awfs.copair
-    monkeypatch.setattr(awfs, "copair", lambda *args: _retarget_one_morphism(real(*args)))
+    monkeypatch.setattr(awfs, "copair", _retargeted_copair)
     with pytest.raises(InternalInvariantError, match="^split is not a functor: "):
         comonad_data.__wrapped__(fun)
 
