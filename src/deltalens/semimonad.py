@@ -174,8 +174,7 @@ def nu(f: FinFunctor) -> FinFunctor:
     base = j_object(f)
     upper = j_object(base.t)
     out = FinFunctor(upper.j, base.j, *_collapse(upper, base))
-    if not validate_functor(out).ok:
-        raise InternalInvariantError("multiplication is not a functor")
+    validate_functor(out).require("multiplication is not a functor")
     return out
 
 

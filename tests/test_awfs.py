@@ -246,7 +246,7 @@ def _retargeted_copair(*args):
     "module, construction, validate, leg, corrupt, message",
     [
         (semimonad, "nu", validate_semimonad, "_collapse", _retargeted_collapse,
-         "^multiplication is not a functor$"),
+         "^multiplication is not a functor: "),
         (awfs, "mu", validate_monad, "_collapse", _retargeted_collapse,
          "^collapse is not a functor: "),
         (awfs, "comonad_data", validate_comonad, "copair", _retargeted_copair,

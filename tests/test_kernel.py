@@ -270,7 +270,9 @@ def test_functor_report_matches_naive_sweep(corpus_funs, data):
 def test_generators_generate(corpus_funs, pinned_depth_3):
     subjects = list(CORPUS.items())
     for name, f in corpus_funs:
-        subjects += [(f"J {name}", j_object(f).j), (f"E {name}", e_object(f).e)]
+        ef = e_object(f)
+        subjects += [(f"J {name}", j_object(f).j), (f"E {name}", ef.e)]
+        subjects += [(f"E(rf) {name}", e_object(ef.rf).e), (f"E(lf) {name}", e_object(ef.lf).e)]
     pinned = e_object(pinned_depth_3).e
     subjects.append(("pinned", pinned))
     for name, c in subjects:
@@ -281,7 +283,32 @@ def test_generators_generate(corpus_funs, pinned_depth_3):
         composites = {gf for (g, f), gf in c.compose.items() if g not in ids and f not in ids}
         assert set(c.morphisms) - ids - composites <= set(gens), name
     assert (len(pinned.objects), len(pinned.morphisms), len(pinned.compose)) == (32, 1024, 32768)
-    assert len(pinned.generators) < len(pinned.morphisms) // 4
+    assert len(pinned.generators) == 34
+
+
+def _codiscrete(n: int, name) -> FinCat:
+    """One morphism `name(a, b)` from each object a to each object b."""
+    objs = [str(i) for i in range(n)]
+    mor = {(a, b): name(a, b) for a in objs for b in objs}
+    return FinCat(
+        objects=tuple(objs),
+        morphisms=tuple(mor.values()),
+        src={m: a for (a, _), m in mor.items()},
+        tgt={m: b for (_, b), m in mor.items()},
+        identity={a: mor[(a, a)] for a in objs},
+        compose={(mor[(b, c)], mor[(a, b)]): mor[(a, c)] for a, b, c in itertools.product(objs, repeat=3)},
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize(
+    "name", [lambda a, b: f"x{a}>x{b}", lambda a, b: f"m{b}{a}"], ids=["src-first", "tgt-first"]
+)
+def test_codiscrete_generators_follow_a_path(n, name):
+    c = _codiscrete(n, name)
+    assert validate_category(c).ok
+    assert composition_closure(c, c.generators) == set(c.morphisms)
+    assert len(c.generators) <= n + 1
 
 
 def test_generators_meet_a_missing_composite():
