@@ -125,7 +125,7 @@ def retraction_pairs(f: FinFunctor, a: str) -> list[tuple[str, str]]:
         (u1, v)
         for u1 in B.out(fa)
         for v in B.hom(B.tgt[u1], fa)
-        if B.compose[(v, u1)] == one
+        if B.after[u1][v] == one
     ]
 
 
@@ -147,8 +147,7 @@ def e_object(f: FinFunctor) -> EfPresentation:
                 src[m] = jp.id_of[(a1, u1)]
                 tgt[m] = jp.id_of[(a2, u2)]
                 crossings.append((m, jp.id_of[(a1, u1, v)], w, jp.id_of[(a2, one, u2)]))
-    compose = _glued_compose(jp, A, crossings)
-    e = FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), compose)
+    e = FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), _glued_compose(jp, A, crossings))
     # Lf(w) is the crossing through w that enters and leaves along identities.
     ids = J.identity_set
     lf_map = {w: m for m, enter, w, exit_ in crossings if enter in ids and exit_ in ids}
@@ -162,8 +161,8 @@ def e_object(f: FinFunctor) -> EfPresentation:
 
 def _glued_compose(
     jp: JPresentation, A: FinCat, crossings: list[tuple[str, str, str, str]]
-) -> dict[tuple[str, str], str]:
-    """Ef's composition table, by lookups in Jf's table and in rows of
+) -> dict[str, dict[str, str]]:
+    """Ef's composition rows, by lookups in Jf's rows and in rows of
     crossings.
 
     rows[enter][w][y] is the crossing that enters along the coslice
@@ -184,28 +183,31 @@ def _glued_compose(
     for m, enter, w, exit_ in crossings:
         row = rows.get(enter)
         if row is None:
-            a = A.src[w]
-            collapse = {y: J.compose[(c, enter)] for c, y in ends[placed[a]]}
+            a, after_enter = A.src[w], J.after[enter]
+            collapse = {y: after_enter[c] for c, y in ends[placed[a]]}
             row = rows[enter] = {A.identity[a]: collapse}
         row.setdefault(w, {})[J.tgt[exit_]] = m
     # leaving[x]: (enter, w, rows[enter][w]) for the crossings out of x
     leaving: dict[str, list[tuple[str, str, dict[str, str]]]] = {x: [] for x in J.objects}
     for enter, row in rows.items():
         leaving[J.src[enter]].extend((enter, w, to) for w, to in row.items() if w not in ids)
-    compose = dict(J.compose)
+    after = dict(J.after)  # Jf's rows, each copied only where a crossing can follow
     for groups in leaving.values():
         for enter, w, to in groups:
-            row = rows[enter]
+            row, after_w = rows[enter], A.after[w]
             for y, m1 in to.items():
-                compose.update({(c, m1): to[z] for c, z in ends[y]})
+                out = after[m1] = {c: to[z] for c, z in ends[y]}
                 for _, w2, to2 in leaving[y]:
-                    through = row[A.compose[(w2, w)]]
-                    compose.update({(m2, m1): through[z] for z, m2 in to2.items()})
+                    through = row[after_w[w2]]
+                    out.update({m2: through[z] for z, m2 in to2.items()})
     for c in J.morphisms:
-        for enter2, w2, to2 in leaving[J.tgt[c]]:
-            through = rows[J.compose[(enter2, c)]][w2]
-            compose.update({(m2, c): through[z] for z, m2 in to2.items()})
-    return compose
+        if leaving[J.tgt[c]]:
+            after_c = J.after[c]
+            out = after[c] = dict(after_c)
+            for enter2, w2, to2 in leaving[J.tgt[c]]:
+                through = rows[after_c[enter2]][w2]
+                out.update({m2: through[z] for z, m2 in to2.items()})
+    return after
 
 
 def _verify_e(pres: EfPresentation) -> None:
@@ -271,11 +273,12 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
     ):
         raise ContractError("copair legs disagree on placed objects")
     X = on_a.cod
-    compose = X.compose.get  # None only if a leg is not a functor
+    after, empty = X.after, {}  # a composite is None only if a leg is not a functor
     on_j_mor, on_a_mor = on_j.mor_map, on_a.mor_map
     mor_map = dict(on_j_mor)
     for m, enter, w, exit_ in pres.crossings:
-        mor_map[m] = compose((compose((on_j_mor[exit_], on_a_mor[w])), on_j_mor[enter]))
+        through = after.get(on_a_mor[w], empty).get(on_j_mor[exit_])
+        mor_map[m] = after.get(on_j_mor[enter], empty).get(through)
     return FinFunctor(pres.e, X, dict(on_j.obj_map), mor_map)
 
 

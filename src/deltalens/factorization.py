@@ -51,7 +51,7 @@ def _roots(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
     for w in A.nonidentity:
         a, fw = A.src[w], fun.mor_map[w]
         for u2 in B.out(fun.obj_map[A.tgt[w]]):
-            r1, r2 = find((a, B.compose[(u2, fw)])), find((A.tgt[w], u2))
+            r1, r2 = find((a, B.after[fw][u2])), find((A.tgt[w], u2))
             if r1 != r2:
                 parent[r1] = r2
     return {p: find(p) for p in parent}
@@ -154,18 +154,17 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     def transport(v: str, rep: tuple[str, str]) -> tuple[str, str]:
         # the class of rep under post-composition by v
         a, u = rep
-        return rep_of[(a, B.compose[(v, u)])]
+        return rep_of[(a, B.after[u][v])]
 
     mor_id = {(v, rep): tag(v, r) for rep, r in rep_id.items() for v in B.out(B.tgt[rep[1]])}
     src = {m: obj_id[rep] for (v, rep), m in mor_id.items()}
     tgt = {m: obj_id[transport(v, rep)] for (v, rep), m in mor_id.items()}
     identity = {x: mor_id[(B.identity[B.tgt[rep[1]]], rep)] for rep, x in obj_id.items()}
-    compose: dict[tuple[str, str], str] = {}
+    after: dict[str, dict[str, str]] = {}
     for (v1, rep1), m1 in mor_id.items():
-        rep_mid = transport(v1, rep1)
-        for v2 in B.out(B.tgt[v1]):
-            compose[(mor_id[(v2, rep_mid)], m1)] = mor_id[(B.compose[(v2, v1)], rep1)]
-    mid = FinCat(tuple(obj_id.values()), tuple(mor_id.values()), src, tgt, identity, compose)
+        rep_mid, after_v1 = transport(v1, rep1), B.after[v1]
+        after[m1] = {mor_id[(v2, rep_mid)]: mor_id[(after_v1[v2], rep1)] for v2 in B.out(B.tgt[v1])}
+    mid = FinCat(tuple(obj_id.values()), tuple(mor_id.values()), src, tgt, identity, after)
 
     def rep_at(a: str) -> tuple[str, str]:
         return rep_of[(a, B.identity[fun.obj_map[a]])]

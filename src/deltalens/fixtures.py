@@ -9,7 +9,7 @@ object idempotent monoid.
 
 from __future__ import annotations
 
-from .kernel import FinCat
+from .kernel import FinCat, rows_from_pairs
 
 
 def _cat(objects, morphisms, identity, compose) -> FinCat:
@@ -21,7 +21,7 @@ def _cat(objects, morphisms, identity, compose) -> FinCat:
         src=src,
         tgt=tgt,
         identity=dict(identity),
-        compose=dict(compose),
+        after=rows_from_pairs(compose.items()),
     )
 
 

@@ -2,15 +2,18 @@
 
 Everything downstream (factorisations, lenses, the free-lens tower)
 consumes the two value types defined here.  `FinCat` stores a finite
-category as string-identifier tables with a composition table that is
-total on composable pairs, and `FinFunctor` is a table-backed map
-between two categories.  Equality is identifier equality throughout,
+category as string-identifier tables, its composition as one row per
+source f mapping each g out of the target of f to g after f; the pair
+table (g, f) -> g after f is only a read-only view, and
+`rows_from_pairs` the one way in from it.  Constructions emit rows and
+readers walk them.  `FinFunctor` is a table-backed map between two
+categories.  Equality is identifier equality throughout,
 values are immutable after construction, and every enumeration walks
 identifiers in sorted order, so all derived data is reproducible bit
 for bit.
 
 A derived category's identifiers are made once, by `tag`, where each
-object or morphism is created.  Its composition table, and the maps
+object or morphism is created.  Its composition rows, and the maps
 that the constructions apply to squares, look those identifiers up by
 their parts instead of tagging them again.
 
@@ -24,6 +27,7 @@ post-checks (`InternalInvariantError`).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -47,6 +51,7 @@ class InternalInvariantError(RuntimeError):
 DEFAULT_GUARD = 10**6
 
 _MISSING = object()
+_EMPTY: dict = {}
 
 
 def memo_by_key(build):
@@ -126,7 +131,8 @@ class FinCat:
     morphisms   sorted morphism identifiers
     src, tgt    morphism id -> object id
     identity    object id -> morphism id
-    compose     (g, f) -> g after f, defined exactly on composable pairs
+    after       f -> {g: g after f}, defined exactly on the g out of tgt f;
+                empty rows are dropped, so equal tables have equal rows
 
     Construction never validates; run `validate_category` to get a report.
     The dict fields are owned by the instance and must not be mutated.
@@ -137,11 +143,18 @@ class FinCat:
     src: dict[str, str]
     tgt: dict[str, str]
     identity: dict[str, str]
-    compose: dict[tuple[str, str], str]
+    after: dict[str, dict[str, str]]
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(sorted(self.objects)))
         object.__setattr__(self, "morphisms", tuple(sorted(self.morphisms)))
+        if not all(self.after.values()):
+            object.__setattr__(self, "after", {f: row for f, row in self.after.items() if row})
+
+    @property
+    def compose(self) -> Mapping[tuple[str, str], str]:
+        """The rows read as the table (g, f) -> g after f; its length counts the pairs."""
+        return _Pairs(self.after)
 
     # -- helpers ---------------------------------------------------------
 
@@ -182,20 +195,22 @@ class FinCat:
     def composite(self, g: str, f: str) -> str:
         """g after f; raises InputError on a non-composable pair."""
         try:
-            return self.compose[(g, f)]
+            return self.after.get(f, _EMPTY)[g]
         except KeyError:
             raise InputError(f"morphisms not composable: ({g}, {f})") from None
 
     @cached_property
     def key(self) -> tuple:
         """Canonical hashable form, used as a cache key for derived data."""
+        sources = tuple(sorted(self.after))
         return (
             self.objects,
             self.morphisms,
             _table_key(self.src),
             _table_key(self.tgt),
             _table_key(self.identity),
-            _table_key(self.compose),
+            sources,
+            tuple(map(_table_key, map(self.after.__getitem__, sources))),
         )
 
     @cached_property
@@ -216,22 +231,21 @@ class FinCat:
         one edge keeps |G| near the number of objects on groupoid-like tables, where
         sorted order alone takes about twice as many or more."""
         ids = {self.identity[x] for x in self.objects}
-        compose, src, tgt, reached = self.compose, self.src, self.tgt, set(ids)
-        composites = {gf for (g, f), gf in compose.items() if g not in ids and f not in ids}
+        after, src, tgt, reached = self.after, self.src, self.tgt, set(ids)
+        composites = {gf for f, row in after.items() if f not in ids for g, gf in row.items() if g not in ids}
         gens: dict[str, list[str]] = {x: [] for x in self.objects}  # by source
         touched = None  # the objects generators touch, from the first composite on
         for m in sorted([m for m in self.morphisms if m not in ids], key=composites.__contains__):
             while m is not None and m not in reached:
                 gens[src[m]].append(m)
-                todo = [m] + [compose.get((m, r), _MISSING) for r in self.by_tgt[src[m]] if r in reached]
+                todo = [m] + [after.get(r, _EMPTY).get(m, _MISSING) for r in self.by_tgt[src[m]] if r in reached]
                 while todo:
                     r = todo.pop()
                     if r is _MISSING:
                         return None
                     if r not in reached:
                         reached.add(r)
-                        for g in gens[tgt[r]]:
-                            todo.append(compose.get((g, r), _MISSING))
+                        todo.extend(after.get(r, _EMPTY).get(g, _MISSING) for g in gens[tgt[r]])
                 if m not in composites:
                     break
                 if touched is None:
@@ -269,9 +283,39 @@ class FinFunctor:
 
 
 def _table_key(table: dict) -> tuple:
-    """(sorted keys, values in that order), sharing the table's keys."""
+    """(sorted keys, values in that order): equal for equal tables, whatever
+    their insertion order."""
     keys = tuple(sorted(table))
     return keys, tuple(map(table.__getitem__, keys))
+
+
+class _Pairs(Mapping):
+    """Composition rows read as the read-only table (g, f) -> g after f."""
+
+    def __init__(self, after: dict[str, dict[str, str]]):
+        self._after = after
+
+    def __getitem__(self, pair: tuple[str, str]) -> str:
+        g, f = pair
+        return self._after[f][g]
+
+    def __iter__(self):
+        return ((g, f) for f, row in self._after.items() for g in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._after.values()))
+
+
+def rows_from_pairs(entries) -> dict[str, dict[str, str]]:
+    """Composition rows from ((g, f), g after f) entries, for files and tests;
+    a pair given twice is an `InputError`."""
+    after: dict[str, dict[str, str]] = {}
+    for (g, f), gf in entries:
+        row = after.setdefault(f, {})
+        if g in row:
+            raise InputError(f"compose has more than one entry for {[g, f]!r}")
+        row[g] = gf
+    return after
 
 
 def same_cat(a: FinCat, b: FinCat) -> bool:
@@ -373,54 +417,52 @@ def _category_report(c: FinCat) -> ValidationReport:
         if m in typed:
             out_of[c.src[m]].append(m)
 
-    # Each entry on its own: known ids, a composable key, a typed composite.
-    src, tgt, compose = c.src, c.tgt, c.compose
+    # Each entry on its own, a row at a time: known ids, a composable pair, a
+    # typed composite.  An untyped source has no target, so no g is
+    # composable with it.
+    src, tgt, after = c.src, c.tgt, c.after
     bad: list[Violation] = []
-    for (g, f), gf in compose.items():
-        if g not in mor_set or f not in mor_set or gf not in mor_set:
-            bad.append(("compose-unknown", g, f, gf))
-        elif g not in typed or f not in typed or src[g] != tgt[f]:
-            bad.append(("compose-not-composable", g, f))
-        elif src.get(gf) != src[f] or tgt.get(gf) != tgt[g]:
-            bad.append(("composite-typing", g, f, gf))
+    for f, row in after.items():
+        s, t = (src[f], tgt[f]) if f in typed else (None, _MISSING)
+        for g, gf in row.items():
+            if g not in mor_set or f not in mor_set or gf not in mor_set:
+                bad.append(("compose-unknown", g, f, gf))
+            elif g not in typed or src[g] != t:
+                bad.append(("compose-not-composable", g, f))
+            elif src.get(gf) != s or tgt.get(gf) != tgt[g]:
+                bad.append(("composite-typing", g, f, gf))
     v.extend(sorted(bad, key=lambda w: w[1:3]))  # one per entry, in (g, f) order
 
-    # Totality by counting: with no bad entry every key is a composable pair,
-    # and the keys are distinct, so as many keys as composable pairs means
-    # every pair has a composite.  Only otherwise are the pairs listed.
-    def composable() -> set[tuple[str, str]]:
-        return {(g, f) for f in typed for g in out_of[tgt[f]]}
-
-    if bad or len(compose) != sum(len(out_of[tgt[f]]) for f in typed):
-        missing = composable().difference(compose)
-        v.extend(("missing-composite", *pair) for pair in sorted(missing))
+    # Totality by counting, a row at a time: with no bad entry every g in the
+    # row of f is out of tgt f, and the row's keys are distinct, so a row as
+    # long as out(tgt f) is complete.  Only otherwise are its gaps listed.
+    missing: set[tuple[str, str]] = set()
+    for f in typed:
+        row, outs = after.get(f, _EMPTY), out_of[tgt[f]]
+        if bad or len(row) != len(outs):
+            missing.update((g, f) for g in outs if g not in row)
+    v.extend(("missing-composite", *pair) for pair in sorted(missing))
 
     for f in c.morphisms:
         if f not in typed:
             continue
         i_src, i_tgt = c.identity.get(src[f]), c.identity.get(tgt[f])
-        if i_src in idents and compose.get((f, i_src), f) != f:
+        if i_src in idents and after.get(i_src, _EMPTY).get(f, f) != f:
             v.append(("right-unit", f))
-        if i_tgt in idents and compose.get((i_tgt, f), f) != f:
+        if i_tgt in idents and after.get(f, _EMPTY).get(i_tgt, f) != f:
             v.append(("left-unit", f))
 
     # Associativity a row at a time: for a composable (g, f), the row of
     # h.(g.f) against the row of (h.g).f over the h with h.g defined, the
-    # keys of after[g], where after[x][h] is h after x.  Equal rows hold no
-    # violation; a row that differs is walked h by h out of tgt g, where a
-    # missing composite skips the triple.
-    after: dict[str, dict[str, str]] = {}
-    for (g, f), gf in compose.items():
-        after.setdefault(f, {})[g] = gf
-    empty: dict[str, str] = {}
-
+    # keys of after[g].  Equal rows hold no violation; a row that differs is
+    # walked h by h out of tgt g, where a missing composite skips the triple.
     def associativity(pairs):
         for g, f in pairs:
-            after_f = after.get(f, empty)
+            after_f = after.get(f, _EMPTY)
             gf = after_f.get(g)
             if gf is None:
                 continue
-            after_g, after_gf = after.get(g, empty), after.get(gf, empty)
+            after_g, after_gf = after.get(g, _EMPTY), after.get(gf, _EMPTY)
             if list(map(after_gf.get, after_g)) == list(map(after_f.get, after_g.values())):
                 continue
             for h in out_of[c.tgt[g]]:
@@ -435,7 +477,7 @@ def _category_report(c: FinCat) -> ValidationReport:
     gens = None if v else c.generators
     if gens is not None and not any(associativity((g, f) for g in gens for f in c.by_tgt[c.src[g]])):
         return ValidationReport(True, ())
-    v.extend(associativity(sorted(composable())))
+    v.extend(associativity(sorted({(g, f) for f in typed for g in out_of[tgt[f]]})))
     return ValidationReport.from_violations(v)
 
 
@@ -471,10 +513,10 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     if not v and dom._report.ok and cod._report.ok:
         if _preserves_composition(dom, cod, fun.mor_map, dom.generators):
             return ValidationReport(True, ())
-    for (g, f), gf in sorted(dom.compose.items()):
-        img = cod.compose.get((fun.mor_map[g], fun.mor_map[f]))
-        if img is None or img != fun.mor_map[gf]:
-            v.append(("composition-preservation", g, f))
+    mor, cod_after = fun.mor_map, cod.after
+    bad = [(g, f) for f, row in dom.after.items() for g, gf in row.items()
+           if (img := cod_after.get(mor[f], _EMPTY).get(mor[g])) is None or img != mor[gf]]
+    v.extend(("composition-preservation", *pair) for pair in sorted(bad))
     return ValidationReport.from_violations(v)
 
 
@@ -491,7 +533,7 @@ def discrete(c: FinCat) -> FinCat:
         src={m: x for x, m in idents.items()},
         tgt={m: x for x, m in idents.items()},
         identity=idents,
-        compose={(m, m): m for m in mors},
+        after={m: {m: m} for m in mors},
     )
 
 
@@ -531,7 +573,7 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
             if B.tgt[u2] != b:
                 continue
             m = mor_id[(w, u2)] = tag(w, u2)
-            src[m] = obj_id[(a, B.compose[(u2, fw)])]
+            src[m] = obj_id[(a, B.after[fw][u2])]
             tgt[m] = obj_id[(a2, u2)]
             mor_parts[m] = (w, u2)
     identity = {o: mor_id[(A.identity[a], u)] for (a, u), o in obj_id.items()}
@@ -539,13 +581,14 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
     out_of: dict[str, list[str]] = {o: [] for o in obj_id.values()}
     for m in morphisms:
         out_of[src[m]].append(m)
-    compose: dict[tuple[str, str], str] = {}
+    after: dict[str, dict[str, str]] = {}
     for m1 in morphisms:
-        w1, _ = mor_parts[m1]
+        after_w1 = A.after[mor_parts[m1][0]]
+        row = after[m1] = {}
         for m2 in out_of[tgt[m1]]:
             w2, u3 = mor_parts[m2]
-            compose[(m2, m1)] = mor_id[(A.compose[(w2, w1)], u3)]
-    return FinCat(tuple(obj_id.values()), tuple(morphisms), src, tgt, identity, compose)
+            row[m2] = mor_id[(after_w1[w2], u3)]
+    return FinCat(tuple(obj_id.values()), tuple(morphisms), src, tgt, identity, after)
 
 
 def enumerate_functors(
@@ -593,12 +636,13 @@ def _preserves_composition(dom: FinCat, cod: FinCat, mor: dict[str, str], gens) 
     """Whether a typed, identity-preserving mor keeps each g.f, for g in gens
     or, if None, every pair.  When dom and cod are categories dom's generators
     suffice: the g that pass hold the identities and are closed under composition."""
+    into, src, dom_after, cod_after = dom.by_tgt, dom.src, dom.after, cod.after
     if gens is None:
-        return all(cod.compose.get((mor[g], mor[f])) == mor[gf] for (g, f), gf in dom.compose.items())
-    into, src, dom_compose, cod_compose = dom.by_tgt, dom.src, dom.compose, cod.compose
+        return all(cod_after.get(mor[f], _EMPTY).get(mor[g]) == mor[gf]
+                   for f, row in dom_after.items() for g, gf in row.items())
     for g in gens:
         mg = mor[g]
         for f in into[src[g]]:
-            if cod_compose.get((mg, mor[f])) != mor[dom_compose[(g, f)]]:
+            if cod_after.get(mor[f], _EMPTY).get(mg) != mor[dom_after[f][g]]:
                 return False
     return True

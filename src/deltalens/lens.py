@@ -104,8 +104,8 @@ def validate_lens(l: DeltaLens) -> ValidationReport:
     for (a, u) in sorted(wanted):
         p = A.tgt[l.lift(a, u)]
         for w in B.out(B.tgt[u]):
-            lhs = l.lift(a, B.compose[(w, u)])
-            rhs = A.compose[(l.lift(p, w), l.lift(a, u))]
+            lhs = l.lift(a, B.after[u][w])
+            rhs = A.after[l.lift(a, u)][l.lift(p, w)]
             if lhs != rhs:
                 v.append(("L3", a, u, w))
     return ValidationReport.from_violations(v)
@@ -181,12 +181,11 @@ def lambda_presentation(l: DeltaLens) -> LambdaPresentation:
         parts[m] = (a, u)
     for a in A.objects:
         identity[a] = tag(a, B.identity[fun.obj_map[a]])
-    compose: dict[tuple[str, str], str] = {}
+    after: dict[str, dict[str, str]] = {}
     for m1, (a, u) in parts.items():
-        p = tgt[m1]
-        for w in B.out(B.tgt[u]):
-            compose[(tag(p, w), m1)] = tag(a, B.compose[(w, u)])
-    lam = FinCat(tuple(A.objects), tuple(sorted(parts)), src, tgt, identity, compose)
+        p, after_u = tgt[m1], B.after[u]
+        after[m1] = {tag(p, w): tag(a, after_u[w]) for w in B.out(B.tgt[u])}
+    lam = FinCat(tuple(A.objects), tuple(sorted(parts)), src, tgt, identity, after)
     phi = FinFunctor(
         lam,
         A,

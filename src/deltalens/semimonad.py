@@ -79,14 +79,13 @@ def j_object(f: FinFunctor) -> JPresentation:
             m = id_of[(a, u, v)] = tag(a, u, v)
             mor_parts[m] = (a, u, v)
             src[m] = x
-            tgt[m] = id_of[(a, B.compose[(v, u)])]
+            tgt[m] = id_of[(a, B.after[u][v])]
         identity[x] = id_of[(a, u, B.identity[b])]
-    compose: dict[tuple[str, str], str] = {}
+    after: dict[str, dict[str, str]] = {}
     for m1, (a, u, v1) in mor_parts.items():
-        mid = B.compose[(v1, u)]
-        for v2 in B.out(B.tgt[v1]):
-            compose[(id_of[(a, mid, v2)], m1)] = id_of[(a, u, B.compose[(v2, v1)])]
-    j = FinCat(tuple(obj_pairs), tuple(mor_parts), src, tgt, identity, compose)
+        mid, after_v1 = B.after[u][v1], B.after[v1]
+        after[m1] = {id_of[(a, mid, v2)]: id_of[(a, u, after_v1[v2])] for v2 in B.out(B.tgt[v1])}
+    j = FinCat(tuple(obj_pairs), tuple(mor_parts), src, tgt, identity, after)
     dA = discrete(A)
     s_obj = {a: id_of[(a, B.identity[f.obj_map[a]])] for a in A.objects}
     s = FinFunctor(dA, j, s_obj, {A.identity[a]: identity[s_obj[a]] for a in A.objects})
@@ -159,11 +158,11 @@ def _collapse(upper: JPresentation, base: JPresentation) -> tuple[dict, dict]:
     obj_map: dict[str, str] = {}
     for x2, (x, u2) in upper.obj_pairs.items():
         a, u1 = base.obj_pairs[x]
-        obj_map[x2] = base.id_of[(a, B.compose[(u2, u1)])]
+        obj_map[x2] = base.id_of[(a, B.after[u1][u2])]
     mor_map: dict[str, str] = {}
     for m2, (x, u2, v) in upper.mor_parts.items():
         a, u1 = base.obj_pairs[x]
-        mor_map[m2] = base.id_of[(a, B.compose[(u2, u1)], v)]
+        mor_map[m2] = base.id_of[(a, B.after[u1][u2], v)]
     return obj_map, mor_map
 
 

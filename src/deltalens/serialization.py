@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .kernel import FinCat, FinFunctor, InputError
+from .kernel import FinCat, FinFunctor, InputError, rows_from_pairs
 from .lens import DeltaLens, LiftingTable
 
 
@@ -21,7 +21,7 @@ def category_to_json(c: FinCat) -> dict:
             {"id": m, "src": c.src[m], "tgt": c.tgt[m]} for m in c.morphisms
         ],
         "identities": {x: c.identity[x] for x in sorted(c.identity)},
-        "compose": sorted([g, f, gf] for (g, f), gf in c.compose.items()),
+        "compose": sorted([g, f, gf] for f, row in c.after.items() for g, gf in row.items()),
     }
 
 
@@ -67,18 +67,14 @@ def category_from_json(d) -> FinCat:
     identity = _str_dict(d["identities"], "category identities")
     table = d["compose"]
     _expect(isinstance(table, list), "category compose must be a list")
-    compose: dict[tuple[str, str], str] = {}
-    for row in table:
-        _expect(
-            isinstance(row, list)
-            and len(row) == 3
-            and all(isinstance(x, str) for x in row),
-            f"compose entry {row!r} must be a list [g, f, gf] of strings",
-        )
-        if (row[0], row[1]) in compose:
-            raise InputError(f"compose has more than one entry for {row[:2]!r}")
-        compose[(row[0], row[1])] = row[2]
-    return FinCat(tuple(objs), tuple(ids), src, tgt, identity, compose)
+
+    def entries():
+        for row in table:
+            if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
+                raise InputError(f"compose entry {row!r} must be a list [g, f, gf] of strings")
+            yield (row[0], row[1]), row[2]
+
+    return FinCat(tuple(objs), tuple(ids), src, tgt, identity, rows_from_pairs(entries()))
 
 
 def functor_to_json(fun: FinFunctor) -> dict:

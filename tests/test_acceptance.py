@@ -22,13 +22,12 @@ from deltalens.kernel import (
     compose_functors,
     identity_functor,
 )
-from deltalens.lens import validate_lens, validate_lens_morphism
+from deltalens.lens import validate_lens_morphism
 from deltalens.search import enumerate_lens_structures, enumerate_r_algebra_structures
 from deltalens.semimonad import jr_from_lens, lens_from_jr, validate_jr_morphism
 from deltalens.awfs import (
     cofree_coalgebra,
     e_object,
-    free_lens,
     lens_to_r_algebra,
     lift_against_coalgebra,
     r_algebra_to_lens,
@@ -186,13 +185,14 @@ def test_criterion_8_lifting_through_coalgebras(corpus_lens_list, corpus_sqs):
     print(f"criterion 8: PASS ({triples} lifting triples solved, {elapsed:.1f}s)")
 
 
-def test_criterion_9_free_lens(corpus_funs):
+def test_criterion_9_free_lens():
+    # That every corpus functor's free lens is lawful and free is the
+    # `free-lens` family's check: `free_lens` raises unless its table obeys
+    # the lens laws, and the family compares its R-algebra with (Rf, mu_f).
     t0 = time.monotonic()
-    for name, fun in corpus_funs:
-        assert validate_lens(free_lens(fun)).ok, name
     ef = e_object(identity_functor(CORPUS["interval"]))
     assert len(ef.e.objects) == 3
     assert len(ef.e.morphisms) == 5
     elapsed = time.monotonic() - t0
     assert elapsed < 5
-    print(f"criterion 9: PASS ({len(corpus_funs)} free lenses lawful, {elapsed:.1f}s)")
+    print(f"criterion 9: PASS (E(interval) has 3 objects and 5 morphisms, {elapsed:.1f}s)")

@@ -26,12 +26,14 @@ from deltalens.kernel import (
     enumerate_functors,
     identity_functor,
     same_cat,
+    rows_from_pairs,
     same_functor,
     tag,
     validate_category,
     validate_functor,
 )
 from deltalens.semimonad import j_object
+from deltalens.serialization import category_from_json, category_to_json
 
 names = st.text(
     alphabet="abu01(),\\<>*_ ", min_size=1, max_size=10
@@ -85,7 +87,7 @@ def _build(d) -> FinCat:
         src={m: s for m, (s, _) in d["morphisms"].items()},
         tgt={m: t for m, (_, t) in d["morphisms"].items()},
         identity=dict(d["identity"]),
-        compose=dict(d["compose"]),
+        after=rows_from_pairs(d["compose"].items()),
     )
 
 
@@ -124,14 +126,14 @@ def _non_associative() -> FinCat:
         src={"1": "x", "a": "x", "b": "x"},
         tgt={"1": "x", "a": "x", "b": "x"},
         identity={"x": "1"},
-        compose={
+        after=rows_from_pairs({
             ("1", "1"): "1",
             ("1", "a"): "a", ("a", "1"): "a",
             ("1", "b"): "b", ("b", "1"): "b",
             ("a", "a"): "b",
             ("b", "a"): "1", ("a", "b"): "b",
             ("b", "b"): "a",
-        },
+        }.items()),
     )
 
 
@@ -149,13 +151,13 @@ def _stray_identity() -> FinCat:
         src={"1": "x", "a": "x", "b": "x"},
         tgt={"1": "x", "a": "x", "b": "x"},
         identity={"x": "1", "z": "a"},
-        compose={
+        after=rows_from_pairs({
             ("1", "1"): "1",
             ("1", "a"): "a", ("a", "1"): "a",
             ("1", "b"): "b", ("b", "1"): "b",
             ("a", "a"): "1", ("a", "b"): "a",
             ("b", "a"): "a", ("b", "b"): "1",
-        },
+        }.items()),
     )
 
 
@@ -188,7 +190,7 @@ def test_associativity_report_matches_naive_sweep(data):
             compose.pop(key, None)
         else:
             compose[key] = value
-    broken = FinCat(c.objects, c.morphisms, c.src, c.tgt, c.identity, compose)
+    broken = FinCat(c.objects, c.morphisms, c.src, c.tgt, c.identity, rows_from_pairs(compose.items()))
     report = validate_category(broken)
     found = [v for v in report.violations if v[0] == "associativity"]
     assert found == associativity_violations(broken)
@@ -218,7 +220,7 @@ def test_totality_report_matches_naive_sweep(data):
             wrong = [h for h in c.morphisms if (c.src[h], c.tgt[h]) != (c.src[f], c.tgt[g])]
             if wrong:
                 compose[key] = data.draw(st.sampled_from(wrong))
-    broken = FinCat(c.objects, c.morphisms, c.src, c.tgt, c.identity, compose)
+    broken = FinCat(c.objects, c.morphisms, c.src, c.tgt, c.identity, rows_from_pairs(compose.items()))
     report = validate_category(broken)
     assert [v for v in report.violations if v[0] in TOTALITY] == totality_violations(broken)
     assert validate_category(c).ok and totality_violations(c) == []
@@ -267,14 +269,21 @@ def test_functor_report_matches_naive_sweep(corpus_funs, data):
     assert _composition_found(broken) == composition_violations(broken)
 
 
-def test_generators_generate(corpus_funs, pinned_depth_3):
+def _tower_subjects(corpus_funs, pinned_depth_3) -> list[tuple[str, FinCat]]:
+    """Every corpus category, J, E, E(rf) and E(lf) of every corpus functor,
+    and the depth-3 pin, last."""
     subjects = list(CORPUS.items())
     for name, f in corpus_funs:
         ef = e_object(f)
         subjects += [(f"J {name}", j_object(f).j), (f"E {name}", ef.e)]
         subjects += [(f"E(rf) {name}", e_object(ef.rf).e), (f"E(lf) {name}", e_object(ef.lf).e)]
-    pinned = e_object(pinned_depth_3).e
-    subjects.append(("pinned", pinned))
+    subjects.append(("pinned", e_object(pinned_depth_3).e))
+    return subjects
+
+
+def test_generators_generate(corpus_funs, pinned_depth_3):
+    subjects = _tower_subjects(corpus_funs, pinned_depth_3)
+    pinned = subjects[-1][1]
     for name, c in subjects:
         gens = c.generators
         ids = {c.identity[x] for x in c.objects}
@@ -284,6 +293,23 @@ def test_generators_generate(corpus_funs, pinned_depth_3):
         assert set(c.morphisms) - ids - composites <= set(gens), name
     assert (len(pinned.objects), len(pinned.morphisms), len(pinned.compose)) == (32, 1024, 32768)
     assert len(pinned.generators) == 34
+
+
+def test_rows_and_pair_view_are_one_table(corpus_funs, pinned_depth_3):
+    # The view counts the composable pairs; a table read back from pairs or
+    # from JSON, or given a stray empty row, has equal rows and an equal key;
+    # and one changed composite changes both.
+    for name, c in _tower_subjects(corpus_funs, pinned_depth_3):
+        assert len(c.compose) == sum(len(c.out(c.tgt[f])) for f in c.morphisms), name
+        rebuilt = dataclasses.replace(c, after=rows_from_pairs(dict(c.compose).items()))
+        loaded = category_from_json(category_to_json(c))
+        padded = dataclasses.replace(c, after={**c.after, "no-such-morphism": {}})
+        for again in (rebuilt, loaded, padded):
+            assert again == c and again.key == c.key, name
+        (g, f), gf = max(c.compose.items())
+        other = next((m for m in c.morphisms if m != gf), gf + "*")
+        changed = dataclasses.replace(c, after={**c.after, f: {**c.after[f], g: other}})
+        assert changed != c and changed.key != c.key, name
 
 
 def _codiscrete(n: int, name) -> FinCat:
@@ -296,7 +322,7 @@ def _codiscrete(n: int, name) -> FinCat:
         src={m: a for (a, _), m in mor.items()},
         tgt={m: b for (_, b), m in mor.items()},
         identity={a: mor[(a, a)] for a in objs},
-        compose={(mor[(b, c)], mor[(a, b)]): mor[(a, c)] for a, b, c in itertools.product(objs, repeat=3)},
+        after={mor[(a, b)]: {mor[(b, c)]: mor[(a, c)] for c in objs} for a, b in itertools.product(objs, repeat=2)},
     )
 
 
@@ -327,7 +353,7 @@ def test_keys_are_canonical(corpus_funs, data):
         old = _functor_subject(kind, data.draw(st.sampled_from(corpus_funs))[1])
         field = data.draw(st.sampled_from(("obj_map", "mor_map")))
     # The copy is filled in reverse order, so only its contents can match.
-    table = dict(reversed(getattr(old, field).items()))
+    table = dict(reversed(list(getattr(old, field).items())))
     key = data.draw(st.sampled_from(sorted(table)))
     value = data.draw(st.sampled_from(sorted(set(table.values()))))
     edit = data.draw(st.sampled_from(("add", "remove", "change")))
@@ -337,7 +363,10 @@ def test_keys_are_canonical(corpus_funs, data):
         del table[key]
     else:
         table[key] = value
-    new = dataclasses.replace(old, **{field: table})
+    if field == "compose":
+        new = dataclasses.replace(old, after=rows_from_pairs(table.items()))
+    else:
+        new = dataclasses.replace(old, **{field: table})
     assert (new.key == old.key) == (new == old)
 
 
@@ -434,7 +463,7 @@ def test_validate_category_reports_duplicates():
         src={"1_x": "x"},
         tgt={"1_x": "x"},
         identity={"x": "1_x"},
-        compose={("1_x", "1_x"): "1_x"},
+        after={"1_x": {"1_x": "1_x"}},
     )
     report = validate_category(c)
     assert any(v[0] == "duplicate-object" for v in report.violations)

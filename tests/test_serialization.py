@@ -95,7 +95,7 @@ def test_exotic_object_names_survive_round_trips(name):
         src={ident: name},
         tgt={ident: name},
         identity={name: ident},
-        compose={(ident, ident): ident},
+        after={ident: {ident: ident}},
     )
     assert validate_category(c).ok
     again = category_from_json(json.loads(canonical_dumps(category_to_json(c))))
