@@ -90,8 +90,8 @@ class EfPresentation:
                normal forms they stand for are kept in `tests/oracles.py`)
     lf         domain -> e, initial (not bijective on objects in general)
     alpha      coslice -> e, the identity on identifiers; e has the
-               coslice's objects, and their pairs (a, u) are in
-               `j.obj_pairs`
+               coslice's objects, and their pairs (a, u) are the keys of
+               `j.obj_id`
     crossings  (m, enter, w, exit) for each crossing m: the coslice
                morphisms it enters and leaves along, and the non-identity
                domain morphism w it crosses through
@@ -140,13 +140,13 @@ def e_object(f: FinFunctor) -> EfPresentation:
     retr = {a: retraction_pairs(f, a) for a in A.objects}
     for w in A.nonidentity:
         a1, a2 = A.src[w], A.tgt[w]
-        one = B.identity[f.obj_map[a2]]
+        exits = jp.mor_id[(a2, B.identity[f.obj_map[a2]])]
         for (u1, v) in retr[a1]:
-            for u2 in B.out(f.obj_map[a2]):
+            for u2, exit_ in exits.items():
                 m = tag("I", u1, v, w, u2)
-                src[m] = jp.id_of[(a1, u1)]
-                tgt[m] = jp.id_of[(a2, u2)]
-                crossings.append((m, jp.id_of[(a1, u1, v)], w, jp.id_of[(a2, one, u2)]))
+                src[m] = jp.obj_id[(a1, u1)]
+                tgt[m] = jp.obj_id[(a2, u2)]
+                crossings.append((m, jp.mor_id[(a1, u1)][v], w, exit_))
     e = FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), _glued_compose(jp, A, crossings))
     # Lf(w) is the crossing through w that enters and leaves along identities.
     ids = J.identity_set
@@ -395,7 +395,8 @@ def free_lens(f: FinFunctor) -> DeltaLens:
     category: the lift of v at (a, u) is the coslice morphism
     (a, u) -> (a, v.u)."""
     ef = e_object(f)
-    entries = {(ef.j.j.src[m], v): m for m, (a, u, v) in ef.j.mor_parts.items()}
+    jp = ef.j
+    entries = {(jp.obj_id[p], v): m for p, row in jp.mor_id.items() for v, m in row.items()}
     l = DeltaLens(ef.rf, LiftingTable(entries))
     validate_lens(l).require("projection lifting table fails the lens laws")
     return l

@@ -7,7 +7,8 @@ decided once where a construction is verified.  `_roots` puts the pairs
 into classes, one union-find for all b, each class over a single b: fun
 is initial when there is exactly one class over each b.  `components`
 names each class by its least pair, and `comprehensive_factorise` builds
-its middle category from the named classes.  `opfibration_lifts`
+its middle category from the named classes, as the category of elements
+(`kernel.elements`) of their transport by post-composition.  `opfibration_lifts`
 tabulates the unique lift of each pair: fun is a discrete opfibration
 when every pair has one.  `orthogonal_lift` fills a commuting square
 whose left leg is initial and whose right leg is a discrete opfibration
@@ -25,6 +26,7 @@ from .kernel import (
     InputError,
     InternalInvariantError,
     commutes,
+    elements,
     same_cat,
     tag,
     validate_functor,
@@ -142,51 +144,34 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     """Factor fun through the category of classes of pairs (a, u: fun a -> b).
 
     Middle objects are pairs (b, class over b), named by the least pair
-    of the class (`components`).  Post composition transports classes,
-    which makes the second leg a discrete opfibration; the first leg
-    lands each object in the class of its own identity.
+    of the class (`components`).  Post composition transports classes, and
+    the second leg, the projection of its category of elements, is a
+    discrete opfibration; the first leg lands each object in the class of
+    its own identity.
     """
     A, B = fun.dom, fun.cod
     rep_of = components(fun)
     rep_id = {p: tag(*p) for p, rep in rep_of.items() if p == rep}
-    obj_id = {rep: tag(B.tgt[rep[1]], r) for rep, r in rep_id.items()}
-
-    def transport(v: str, rep: tuple[str, str]) -> tuple[str, str]:
-        # the class of rep under post-composition by v
-        a, u = rep
-        return rep_of[(a, B.after[u][v])]
-
-    mor_id = {(v, rep): tag(v, r) for rep, r in rep_id.items() for v in B.out(B.tgt[rep[1]])}
-    src = {m: obj_id[rep] for (v, rep), m in mor_id.items()}
-    tgt = {m: obj_id[transport(v, rep)] for (v, rep), m in mor_id.items()}
-    identity = {x: mor_id[(B.identity[B.tgt[rep[1]]], rep)] for rep, x in obj_id.items()}
-    after: dict[str, dict[str, str]] = {}
-    for (v1, rep1), m1 in mor_id.items():
-        rep_mid, after_v1 = transport(v1, rep1), B.after[v1]
-        after[m1] = {mor_id[(v2, rep_mid)]: mor_id[(after_v1[v2], rep1)] for v2 in B.out(B.tgt[v1])}
-    mid = FinCat(tuple(obj_id.values()), tuple(mor_id.values()), src, tgt, identity, after)
+    over = {rep: B.tgt[rep[1]] for rep in rep_id}
+    transport = lambda rep, v: rep_of[(rep[0], B.after[rep[1]][v])]  # the class of rep under v
+    name = lambda rep: tag(over[rep], rep_id[rep])
+    m, obj_id, mor_id = elements(B, over, transport, name, lambda rep, v: tag(v, rep_id[rep]))
 
     def rep_at(a: str) -> tuple[str, str]:
         return rep_of[(a, B.identity[fun.obj_map[a]])]
 
     e = FinFunctor(
         A,
-        mid,
+        m.dom,
         {a: obj_id[rep_at(a)] for a in A.objects},
-        {w: mor_id[(fun.mor_map[w], rep_at(A.src[w]))] for w in A.morphisms},
-    )
-    m = FinFunctor(
-        mid,
-        B,
-        {x: B.tgt[rep[1]] for rep, x in obj_id.items()},
-        {mm: v for (v, _), mm in mor_id.items()},
+        {w: mor_id[rep_at(A.src[w])][fun.mor_map[w]] for w in A.morphisms},
     )
     _check(validate_functor(e).ok, "factorisation first leg is not a functor")
     _check(validate_functor(m).ok, "factorisation second leg is not a functor")
     _check(commutes(m, e, fun), "factorisation does not recompose")
     _check(is_initial(e), "factorisation first leg is not initial")
     _check(is_discrete_opfibration(m), "factorisation second leg is not a discrete opfibration")
-    return Factorisation(e=e, m=m, mid=mid)
+    return Factorisation(e=e, m=m, mid=m.dom)
 
 
 def _check(cond: bool, message: str) -> None:

@@ -7,10 +7,13 @@ source f mapping each g out of the target of f to g after f; the pair
 table (g, f) -> g after f is only a read-only view, and
 `rows_from_pairs` the one way in from it.  Constructions emit rows and
 readers walk them.  `FinFunctor` is a table-backed map between two
-categories.  Equality is identifier equality throughout,
-values are immutable after construction, and every enumeration walks
-identifiers in sorted order, so all derived data is reproducible bit
-for bit.
+categories.  `elements` builds the category of elements of an action on
+a set of points with its projection, a discrete opfibration; every
+discrete opfibration is one, and the coslice Jf, the middle of the
+comprehensive factorisation and a lens's lambda presentation are built by it.
+Equality is identifier equality throughout, values are immutable after
+construction, and every enumeration walks identifiers in sorted order,
+so all derived data is reproducible bit for bit.
 
 A derived category's identifiers are made once, by `tag`, where each
 object or morphism is created.  Its composition rows, and the maps
@@ -513,9 +516,9 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     if not v and dom._report.ok and cod._report.ok:
         if _preserves_composition(dom, cod, fun.mor_map, dom.generators):
             return ValidationReport(True, ())
-    mor, cod_after = fun.mor_map, cod.after
+    mor, cod_after = fun.mor_map.get, cod.after  # a pair with an unknown id is reported too
     bad = [(g, f) for f, row in dom.after.items() for g, gf in row.items()
-           if (img := cod_after.get(mor[f], _EMPTY).get(mor[g])) is None or img != mor[gf]]
+           if (img := cod_after.get(mor(f), _EMPTY).get(mor(g))) is None or img != mor(gf)]
     v.extend(("composition-preservation", *pair) for pair in sorted(bad))
     return ValidationReport.from_violations(v)
 
@@ -535,6 +538,28 @@ def discrete(c: FinCat) -> FinCat:
         identity=idents,
         after={m: {m: m} for m in mors},
     )
+
+
+def elements(base: FinCat, over: dict, act, obj_name, mor_name) -> tuple[FinFunctor, dict, dict]:
+    """The category of elements of an action of base, with its projection onto
+    base, a discrete opfibration.  Point p is the object obj_name(p) over
+    over[p]; v out of over[p] moves it along mor_name(p, v) to act(p, v), and
+    (p, v2) after (p, v1) is (p, v2.v1).  Returns the projection, obj_id
+    (p -> object) and mor_id (p -> {v: morphism}), every table in the order
+    of `over`.  act(p, v) must lie over the target of v; nothing is checked,
+    so a caller checks what it builds."""
+    obj_id = {p: obj_name(p) for p in over}
+    mor_id = {p: {v: mor_name(p, v) for v in base.out(b)} for p, b in over.items()}
+    src, tgt, after = {}, {}, {}
+    for p, row in mor_id.items():
+        for v1, m1 in row.items():
+            q = act(p, v1)
+            src[m1], tgt[m1], after_v1 = obj_id[p], obj_id[q], base.after[v1]
+            after[m1] = {m2: row[after_v1[v2]] for v2, m2 in mor_id[q].items()}
+    identity = {obj_id[p]: mor_id[p][base.identity[b]] for p, b in over.items()}
+    cat = FinCat(tuple(obj_id.values()), tuple(src), src, tgt, identity, after)
+    on_mor = {m: v for row in mor_id.values() for v, m in row.items()}
+    return FinFunctor(cat, base, {obj_id[p]: b for p, b in over.items()}, on_mor), obj_id, mor_id
 
 
 def counit_inclusion(c: FinCat) -> FinFunctor:

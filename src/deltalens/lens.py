@@ -7,8 +7,9 @@ laws say the table projects correctly (L1), picks identities on
 identities (L2), and is closed under composition (L3).
 
 `lambda_presentation` repackages a lens as a bijective-on-objects
-functor followed by a discrete opfibration; `lens_from_lambda` reads the
-lens back, checking that what it is given is such a presentation.
+functor followed by a discrete opfibration, a category of elements
+(`kernel.elements`); `lens_from_lambda` reads the lens back, checking
+that what it is given is such a presentation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .kernel import (
     ValidationReport,
     commutes,
     compose_functors,
+    elements,
     identity_functor,
     is_bijective_on_objects,
     same_cat,
@@ -166,37 +168,18 @@ class LambdaPresentation:
 
 
 def lambda_presentation(l: DeltaLens) -> LambdaPresentation:
-    """The category with one morphism per table entry, projecting back.
+    """The category with one morphism per table entry, projecting back: the
+    category of elements of u moving a to p(a, u), an action when L1 holds.
     Unchecked: `lens_from_lambda` decides that the result presents a lens."""
     fun = l.functor
-    A, B = fun.dom, fun.cod
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
-    parts: dict[str, tuple[str, str]] = {}
-    for a, u in lens_pairs(fun):
-        m = tag(a, u)
-        src[m] = a
-        tgt[m] = l.target(a, u)
-        parts[m] = (a, u)
-    for a in A.objects:
-        identity[a] = tag(a, B.identity[fun.obj_map[a]])
-    after: dict[str, dict[str, str]] = {}
-    for m1, (a, u) in parts.items():
-        p, after_u = tgt[m1], B.after[u]
-        after[m1] = {tag(p, w): tag(a, after_u[w]) for w in B.out(B.tgt[u])}
-    lam = FinCat(tuple(A.objects), tuple(sorted(parts)), src, tgt, identity, after)
+    points = {a: fun.obj_map[a] for a in fun.dom.objects}
+    over, _, mor_id = elements(fun.cod, points, l.target, lambda a: a, tag)
+    lam = over.dom
     phi = FinFunctor(
         lam,
-        A,
+        fun.dom,
         {a: a for a in lam.objects},
-        {m: l.lift(*parts[m]) for m in lam.morphisms},
-    )
-    over = FinFunctor(
-        lam,
-        B,
-        {a: fun.obj_map[a] for a in lam.objects},
-        {m: parts[m][1] for m in lam.morphisms},
+        {m: l.lift(a, u) for a, row in mor_id.items() for u, m in row.items()},
     )
     return LambdaPresentation(lam, phi, over)
 

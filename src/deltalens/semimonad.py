@@ -2,7 +2,8 @@
 
 For a functor f the category Jf collects pairs (a, u) of a domain
 object with a morphism out of its image; morphisms only extend u by
-postcomposition, keeping a fixed.  The construction packages three
+postcomposition, keeping a fixed: Jf is the category of elements
+(`kernel.elements`) of that action.  The construction packages three
 things: Jf itself, the functor `s` placing each domain object at its
 identity, and the projection `t` onto the codomain, a discrete
 opfibration.  Together they factor f restricted to the discrete domain.
@@ -27,6 +28,7 @@ from .kernel import (
     commutes,
     counit_inclusion,
     discrete,
+    elements,
     memo_by_key,
     same_cat,
     same_functor,
@@ -42,60 +44,32 @@ from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
 class JPresentation:
     """The coslice category of a functor with its two structure legs.
 
-    j          the category of pairs (a, u out of the image of a)
-    s          discrete domain -> j, each object at its identity
-    t          j -> codomain, projecting u onto its target
-    obj_pairs  object id -> (a, u)
-    mor_parts  morphism id -> (a, u, v), the arrow (a, u) -> (a, v.u)
-    id_of      the inverse of both: (a, u) -> object id, (a, u, v) ->
-               morphism id; each id is `tag` of its parts
+    j       the category of pairs (a, u out of the image of a): the category
+            of elements of the action v.(a, u) = (a, v.u) (`kernel.elements`)
+    s       discrete domain -> j, each object at its identity
+    t       j -> codomain, projecting u onto its target
+    obj_id  (a, u) -> object id, `tag(a, u)`
+    mor_id  (a, u) -> {v: id of the arrow (a, u) -> (a, v.u)}, `tag(a, u, v)`
     """
 
     j: FinCat
     s: FinFunctor
     t: FinFunctor
-    obj_pairs: dict[str, tuple[str, str]]
-    mor_parts: dict[str, tuple[str, str, str]]
-    id_of: dict[tuple[str, ...], str]
+    obj_id: dict[tuple[str, str], str]
+    mor_id: dict[tuple[str, str], dict[str, str]]
 
 
 @memo_by_key
 def j_object(f: FinFunctor) -> JPresentation:
     """Build (and cache) the coslice presentation of f."""
     A, B = f.dom, f.cod
-    id_of: dict[tuple[str, ...], str] = {}
-    obj_pairs: dict[str, tuple[str, str]] = {}
-    for a in A.objects:
-        for u in B.out(f.obj_map[a]):
-            x = id_of[(a, u)] = tag(a, u)
-            obj_pairs[x] = (a, u)
-    mor_parts: dict[str, tuple[str, str, str]] = {}
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    identity: dict[str, str] = {}
-    for x, (a, u) in obj_pairs.items():
-        b = B.tgt[u]
-        for v in B.out(b):
-            m = id_of[(a, u, v)] = tag(a, u, v)
-            mor_parts[m] = (a, u, v)
-            src[m] = x
-            tgt[m] = id_of[(a, B.after[u][v])]
-        identity[x] = id_of[(a, u, B.identity[b])]
-    after: dict[str, dict[str, str]] = {}
-    for m1, (a, u, v1) in mor_parts.items():
-        mid, after_v1 = B.after[u][v1], B.after[v1]
-        after[m1] = {id_of[(a, mid, v2)]: id_of[(a, u, after_v1[v2])] for v2 in B.out(B.tgt[v1])}
-    j = FinCat(tuple(obj_pairs), tuple(mor_parts), src, tgt, identity, after)
-    dA = discrete(A)
-    s_obj = {a: id_of[(a, B.identity[f.obj_map[a]])] for a in A.objects}
-    s = FinFunctor(dA, j, s_obj, {A.identity[a]: identity[s_obj[a]] for a in A.objects})
-    t = FinFunctor(
-        j,
-        B,
-        {x: B.tgt[u] for x, (a, u) in obj_pairs.items()},
-        {m: v for m, (a, u, v) in mor_parts.items()},
-    )
-    pres = JPresentation(j, s, t, obj_pairs, mor_parts, id_of)
+    over = {(a, u): B.tgt[u] for a in A.objects for u in B.out(f.obj_map[a])}
+    extend = lambda p, v: (p[0], B.after[p[1]][v])
+    t, obj_id, mor_id = elements(B, over, extend, lambda p: tag(*p), lambda p, v: tag(*p, v))
+    j = t.dom
+    s_obj = {a: obj_id[(a, B.identity[f.obj_map[a]])] for a in A.objects}
+    s = FinFunctor(discrete(A), j, s_obj, {A.identity[a]: j.identity[s_obj[a]] for a in A.objects})
+    pres = JPresentation(j, s, t, obj_id, mor_id)
     _verify_j(pres, f)
     return pres
 
@@ -121,14 +95,13 @@ def _raw_j_square(
     """The induced map on coslices, from a top object map and a bottom
     morphism map; well-definedness is the caller's concern: an image
     that is not an identifier of `cod` maps to None."""
-    id_of = cod.id_of.get
-    obj_map = {
-        x: id_of((top_obj[a], bottom_mor[u])) for x, (a, u) in dom.obj_pairs.items()
-    }
-    mor_map = {
-        m: id_of((top_obj[a], bottom_mor[u], bottom_mor[v]))
-        for m, (a, u, v) in dom.mor_parts.items()
-    }
+    obj_map, mor_map = {}, {}
+    for p, row in dom.mor_id.items():
+        pair = (top_obj[p[0]], bottom_mor[p[1]])
+        obj_map[dom.obj_id[p]] = cod.obj_id.get(pair)
+        image = cod.mor_id.get(pair, {})
+        for v, m in row.items():
+            mor_map[m] = image.get(bottom_mor[v])
     return FinFunctor(dom.j, cod.j, obj_map, mor_map)
 
 
@@ -155,14 +128,15 @@ def _collapse(upper: JPresentation, base: JPresentation) -> tuple[dict, dict]:
     """Object and morphism maps of a multiplication: a stacked extension
     (x, u2) of x = (a, u1) in `base` goes to the extension (a, u2.u1)."""
     B = base.t.cod
-    obj_map: dict[str, str] = {}
-    for x2, (x, u2) in upper.obj_pairs.items():
-        a, u1 = base.obj_pairs[x]
-        obj_map[x2] = base.id_of[(a, B.after[u1][u2])]
-    mor_map: dict[str, str] = {}
-    for m2, (x, u2, v) in upper.mor_parts.items():
-        a, u1 = base.obj_pairs[x]
-        mor_map[m2] = base.id_of[(a, B.after[u1][u2], v)]
+    pair_of = {x: p for p, x in base.obj_id.items()}
+    obj_map, mor_map = {}, {}
+    for p, row in upper.mor_id.items():
+        a, u1 = pair_of[p[0]]
+        onto = (a, B.after[u1][p[1]])
+        obj_map[upper.obj_id[p]] = base.obj_id[onto]
+        image = base.mor_id[onto]
+        for v, m2 in row.items():
+            mor_map[m2] = image[v]
     return obj_map, mor_map
 
 
@@ -294,9 +268,9 @@ def jr_from_lens(l: DeltaLens) -> JrAlgebra:
         raise ContractError("lifting table fails the lens laws")
     f = l.functor
     pres = j_object(f)
-    obj_map = {x: l.target(a, u) for x, (a, u) in pres.obj_pairs.items()}
+    obj_map = {x: l.target(*p) for p, x in pres.obj_id.items()}
     mor_map = {
-        m: l.lift(l.target(a, u), v) for m, (a, u, v) in pres.mor_parts.items()
+        m: l.lift(l.target(*p), v) for p, row in pres.mor_id.items() for v, m in row.items()
     }
     return JrAlgebra(f, FinFunctor(pres.j, f.dom, obj_map, mor_map))
 
@@ -308,9 +282,9 @@ def lens_from_jr(alg: JrAlgebra) -> DeltaLens:
         raise ContractError("structure map fails the coslice algebra laws")
     f, p = alg.functor, alg.structure
     B = f.cod
-    id_of = j_object(f).id_of
+    mor_id = j_object(f).mor_id
     entries = {
-        (a, u): p.mor_map[id_of[(a, B.identity[f.obj_map[a]], u)]]
+        (a, u): p.mor_map[mor_id[(a, B.identity[f.obj_map[a]])][u]]
         for a, u in lens_pairs(f)
     }
     return DeltaLens(f, LiftingTable(entries))

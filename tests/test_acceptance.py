@@ -173,7 +173,7 @@ def test_criterion_8_lifting_through_coalgebras(corpus_lens_list, corpus_sqs):
             assert compose_functors(g, d) == lifted.bottom, name
             # q splits each object b into a pair (a, u), and d sends b to the
             # target of the chosen lift of bottom(u) at top(a).
-            split = e_object(coalg.functor).j.obj_pairs
+            split = {x: p for p, x in e_object(coalg.functor).j.obj_id.items()}
             for b, x in coalg.structure.obj_map.items():
                 a, u = split[x]
                 target = lens.target(lifted.top.obj_map[a], lifted.bottom.mor_map[u])

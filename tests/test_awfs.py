@@ -586,9 +586,9 @@ def test_crossings_and_coslice_inclusion_hold_by_construction(corpus_funs):
         expected = [
             (
                 m,
-                ef.j.id_of[(A.src[k.w], k.u1, k.v)],
+                ef.j.mor_id[(A.src[k.w], k.u1)][k.v],
                 k.w,
-                ef.j.id_of[(A.tgt[k.w], B.identity[f.obj_map[A.tgt[k.w]]], k.u2)],
+                ef.j.mor_id[(A.tgt[k.w], B.identity[f.obj_map[A.tgt[k.w]]])][k.u2],
             )
             for m, k in ef_kinds(f).items()
             if isinstance(k, EfKindI)
@@ -665,11 +665,12 @@ def _assert_composites_retag(f):
     """Composition tables hold the ids that `tag` rebuilds from parts."""
     A, B = f.dom, f.cod
     jp = j_object(f)
-    for m, parts in jp.mor_parts.items():
-        assert m == tag(*parts)
+    parts = {m: (*p, v) for p, row in jp.mor_id.items() for v, m in row.items()}
+    for m, (a, u, v) in parts.items():
+        assert m == tag(a, u, v)
     for (m2, m1), m in jp.j.compose.items():
-        a, u, v1 = jp.mor_parts[m1]
-        assert m == tag(a, u, B.compose[(jp.mor_parts[m2][2], v1)])
+        a, u, v1 = parts[m1]
+        assert m == tag(a, u, B.compose[(parts[m2][2], v1)])
     ef, kinds = e_object(f), ef_kinds(f)
     assert set(kinds) == set(ef.e.morphisms)
     for (m2, m1), m in ef.e.compose.items():
@@ -703,10 +704,10 @@ def test_looked_up_ids_match_retagging(corpus_funs, corpus_sqs, pinned_depth_3):
         h, k, g = sq.top, sq.bottom, sq.right
         ef = e_object(sq.left)
         on_j, on_e = j_square(sq), e_square(sq)
-        for x, (a, u) in ef.j.obj_pairs.items():
+        for (a, u), x in ef.j.obj_id.items():
             assert on_j.obj_map[x] == on_e.obj_map[x] == tag(h.obj_map[a], k.mor_map[u])
-        for m, (a, u, v) in ef.j.mor_parts.items():
-            assert on_j.mor_map[m] == tag(h.obj_map[a], k.mor_map[u], k.mor_map[v])
+            for v, m in ef.j.mor_id[(a, u)].items():
+                assert on_j.mor_map[m] == tag(h.obj_map[a], k.mor_map[u], k.mor_map[v])
         for m, kind in kinds_of[sq.left.key].items():
             if isinstance(kind, EfKindI):
                 img = _kind1(

@@ -2,6 +2,7 @@ import pytest
 
 from oracles import brute_force_diagonals, is_connected, is_isomorphism
 
+from deltalens import factorization, kernel, lens, semimonad
 from deltalens.awfs import comonad_data, e_object, mu
 from deltalens.fixtures import CORPUS
 from deltalens.factorization import (
@@ -25,6 +26,7 @@ from deltalens.kernel import (
     tag,
     validate_functor,
 )
+from deltalens.lens import lambda_presentation
 from deltalens.semimonad import j_object
 
 
@@ -190,10 +192,34 @@ def test_coslice_is_the_middle_of_the_counit_factorisation(corpus_funs):
         iso = FinFunctor(
             jf.j,
             parts.mid,
-            {x: tag(f.cod.tgt[u], x) for x, (a, u) in jf.obj_pairs.items()},
-            {m: tag(v, tag(a, u)) for m, (a, u, v) in jf.mor_parts.items()},
+            {x: tag(f.cod.tgt[u], x) for (a, u), x in jf.obj_id.items()},
+            {m: tag(v, tag(a, u)) for (a, u), row in jf.mor_id.items() for v, m in row.items()},
         )
         assert validate_functor(iso).ok, name
         assert is_isomorphism(iso), name
         assert compose_functors(parts.m, iso) == jf.t, name
         assert compose_functors(iso, jf.s) == parts.e, name
+
+
+def test_each_category_of_elements_lifts_along_its_rows(monkeypatch, corpus_funs, corpus_lens_list):
+    # J(f)'s t, the factorisation's m and the lambda presentation's over are
+    # each the projection that `kernel.elements` returns, and its unique lift
+    # of v at the object of a point p is the morphism in p's row at v.
+    built = []
+
+    def recording(*args):
+        built.append(kernel.elements(*args))
+        return built[-1]
+
+    for module in (semimonad, factorization, lens):
+        monkeypatch.setattr(module, "elements", recording)
+    funs = [f for _, f in corpus_funs]
+    projections = [j_object.__wrapped__(f).t for f in funs]
+    projections += [comprehensive_factorise(f).m for f in funs]
+    projections += [lambda_presentation(l).over for _, l in corpus_lens_list]
+    assert len(built) == len(projections) == 2 * 125 + 46
+    for projection, (built_projection, obj_id, mor_id) in zip(projections, built):
+        assert projection is built_projection
+        assert opfibration_lifts(projection) == {
+            (obj_id[p], v): m for p, row in mor_id.items() for v, m in row.items()
+        }

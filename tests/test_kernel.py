@@ -446,6 +446,16 @@ def test_validate_functor_catches_identity_breakage():
                for v in report.violations)
 
 
+def test_validate_functor_reports_a_composite_that_is_no_morphism():
+    # 1_1 . u = zz: the domain is not a category, so the sweep runs, and the
+    # pair is reported instead of failing on the lookup of zz.
+    iv = CORPUS["interval"]
+    bad = dataclasses.replace(iv, after={**iv.after, "u": {"1_1": "zz"}})
+    assert ("compose-unknown", "1_1", "u", "zz") in validate_category(bad).violations
+    fun = FinFunctor(bad, iv, {x: x for x in iv.objects}, {m: m for m in iv.morphisms})
+    assert validate_functor(fun).violations == (("composition-preservation", "1_1", "u"),)
+
+
 def test_discrete_and_counit_inclusion():
     for c in CORPUS.values():
         d = discrete(c)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -26,6 +27,7 @@ from deltalens.lens import (
     validate_lens_morphism,
 )
 from deltalens.search import enumerate_lens_structures
+from deltalens.serialization import canonical_dumps, category_to_json, functor_to_json
 
 
 def _bang():
@@ -170,6 +172,17 @@ def test_lambda_presentation_round_trip(corpus_lens_list):
         assert sorted(pres.phi.obj_map.values()) == sorted(pres.lam.objects), name
         back = lens_from_lambda(pres, l.functor)
         assert back.lifts == l.lifts, name
+
+
+def test_lambda_presentations_are_pinned(corpus_lens_list):
+    # The names of Lambda, phi and over, in corpus order, fed to one digest.
+    digest = hashlib.sha256()
+    for _, l in corpus_lens_list:
+        pres = lambda_presentation(l)
+        payload = [category_to_json(pres.lam), functor_to_json(pres.phi), functor_to_json(pres.over)]
+        digest.update(canonical_dumps(payload).encode())
+    assert len(corpus_lens_list) == 46
+    assert digest.hexdigest() == "c50959f29a3a2047544afc6347feac7618c51e336d1861a455b6fefde543676f"
 
 
 def test_lens_from_lambda_rejects_wrong_base():
