@@ -133,11 +133,14 @@ class CommutingSquare:
 
 @dataclass(frozen=True)
 class Factorisation:
-    """An (initial, discrete opfibration) factorisation m after e of a functor."""
+    """An (initial, discrete opfibration) factorisation m after e through `mid`, m's domain."""
 
     e: FinFunctor
     m: FinFunctor
-    mid: FinCat
+
+    @property
+    def mid(self) -> FinCat:
+        return self.m.dom
 
 
 def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
@@ -171,7 +174,7 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     _check(commutes(m, e, fun), "factorisation does not recompose")
     _check(is_initial(e), "factorisation first leg is not initial")
     _check(is_discrete_opfibration(m), "factorisation second leg is not a discrete opfibration")
-    return Factorisation(e=e, m=m, mid=m.dom)
+    return Factorisation(e=e, m=m)
 
 
 def _check(cond: bool, message: str) -> None:

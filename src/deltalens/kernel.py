@@ -15,10 +15,10 @@ Equality is identifier equality throughout, values are immutable after
 construction, and every enumeration walks identifiers in sorted order,
 so all derived data is reproducible bit for bit.
 
-A derived category's identifiers are made once, by `tag`, where each
-object or morphism is created.  Its composition rows, and the maps
-that the constructions apply to squares, look those identifiers up by
-their parts instead of tagging them again.
+A derived category's identifiers are made once, where each object or
+morphism is created, by `tag`, which escapes each distinct part once.  Its
+composition rows, and the maps that the constructions apply to squares,
+look those identifiers up by their parts instead of tagging them again.
 
 Validators return `ValidationReport` values instead of raising: a bad
 table is data to report on, not an exception.  Exceptions are reserved
@@ -33,6 +33,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import itemgetter
 
 
 class InputError(ValueError):
@@ -77,21 +78,25 @@ def memo_by_key(build):
     return cached
 
 
-def _escape(part: str) -> str:
-    out = part.replace("\\", "\\\\")
-    out = out.replace(",", "\\,")
-    out = out.replace("(", "\\(")
-    out = out.replace(")", "\\)")
-    return out.replace("<", "\\<")
+class _Escaped(dict):
+    """part -> its escaped form, worked out on first use: one entry per id used as a part."""
+
+    def __missing__(self, part: str) -> str:
+        out = part.replace("\\", "\\\\").replace(",", "\\,").replace("(", "\\(").replace(")", "\\)")
+        self[part] = out = out.replace("<", "\\<")
+        return out
+
+
+_escape = _Escaped().__getitem__  # a dict lookup: each distinct part is escaped once
 
 
 def tag(*parts: str) -> str:
     """Build a canonical composite identifier from constituent identifiers.
 
     Escaping makes the encoding injective, so identifiers of derived
-    categories never collide even when nested several levels deep.
-    Constructions call this once per object or morphism they create and
-    afterwards look the identifier up by its parts.
+    categories never collide even when nested several levels deep; each
+    distinct part is escaped once.  Constructions call this once per object
+    or morphism they create and afterwards look the identifier up by its parts.
     """
     return "(" + ",".join(map(_escape, parts)) + ")"
 
@@ -371,7 +376,8 @@ def commutes(g: FinFunctor, f: FinFunctor, k: FinFunctor, h: FinFunctor | None =
 
 
 def validate_category(c: FinCat) -> ValidationReport:
-    """Check the category laws on raw tables; memoised on `c`, which is immutable."""
+    """Check the category laws on raw tables, associativity by Light's test on
+    rows compared as tuples; memoised on `c`, which is immutable."""
     return c._report
 
 
@@ -455,32 +461,37 @@ def _category_report(c: FinCat) -> ValidationReport:
         if i_tgt in idents and after.get(f, _EMPTY).get(i_tgt, f) != f:
             v.append(("left-unit", f))
 
-    # Associativity a row at a time: for a composable (g, f), the row of
-    # h.(g.f) against the row of (h.g).f over the h with h.g defined, the
-    # keys of after[g].  Equal rows hold no violation; a row that differs is
-    # walked h by h out of tgt g, where a missing composite skips the triple.
-    def associativity(pairs):
-        for g, f in pairs:
-            after_f = after.get(f, _EMPTY)
-            gf = after_f.get(g)
-            if gf is None:
-                continue
-            after_g, after_gf = after.get(g, _EMPTY), after.get(gf, _EMPTY)
-            if list(map(after_gf.get, after_g)) == list(map(after_f.get, after_g.values())):
-                continue
-            for h in out_of[c.tgt[g]]:
-                hg, left = after_g.get(h), after_gf.get(h)
-                right = None if hg is None else after_f.get(hg)
-                if left is not None and right is not None and left != right:
-                    yield ("associativity", h, g, f)
-
     # Light's test: when composition is typed and total and the units hold,
     # the middles y of associative triples hold the identities and are closed
-    # under composition, so generators as middles suffice; else sweep all.
+    # under composition, so generators as middles suffice.  At a middle g the
+    # rows h.(g.f), (h.g).f over h out of tgt g are tuples (scalars for one h).
+    def associative_at(gens) -> bool:
+        for g in gens:
+            left, right = itemgetter(*after[g]), itemgetter(*after[g].values())
+            for after_f in map(after.__getitem__, c.by_tgt[src[g]]):
+                if left(after[after_f[g]]) != right(after_f):
+                    return False
+        return True
+
     gens = None if v else c.generators
-    if gens is not None and not any(associativity((g, f) for g in gens for f in c.by_tgt[c.src[g]])):
+    if gens is not None and associative_at(gens):
         return ValidationReport(True, ())
-    v.extend(associativity(sorted({(g, f) for f in typed for g in out_of[tgt[f]]})))
+    # Else sweep each composable (g, f): equal rows of h.(g.f) and (h.g).f over
+    # the keys h of after[g] hold no violation; a row that differs is walked h
+    # by h out of tgt g, where a missing composite skips the triple.
+    for g, f in sorted({(g, f) for f in typed for g in out_of[tgt[f]]}):
+        after_f = after.get(f, _EMPTY)
+        gf = after_f.get(g)
+        if gf is None:
+            continue
+        after_g, after_gf = after.get(g, _EMPTY), after.get(gf, _EMPTY)
+        if list(map(after_gf.get, after_g)) == list(map(after_f.get, after_g.values())):
+            continue
+        for h in out_of[tgt[g]]:
+            hg, left = after_g.get(h), after_gf.get(h)
+            right = None if hg is None else after_f.get(hg)
+            if left is not None and right is not None and left != right:
+                v.append(("associativity", h, g, f))
     return ValidationReport.from_violations(v)
 
 

@@ -169,8 +169,11 @@ class LambdaPresentation:
 
 def lambda_presentation(l: DeltaLens) -> LambdaPresentation:
     """The category with one morphism per table entry, projecting back: the
-    category of elements of u moving a to p(a, u), an action when L1 holds.
-    Unchecked: `lens_from_lambda` decides that the result presents a lens."""
+    category of elements of u moving a to p(a, u), an action when the lens
+    laws hold.  A table that fails `validate_lens` is a `ContractError`."""
+    report = validate_lens(l)
+    if not report.ok:
+        raise ContractError(f"lifting table fails the lens laws: {report.first}")
     fun = l.functor
     points = {a: fun.obj_map[a] for a in fun.dom.objects}
     over, _, mor_id = elements(fun.cod, points, l.target, lambda a: a, tag)

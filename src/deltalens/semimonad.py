@@ -44,19 +44,22 @@ from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
 class JPresentation:
     """The coslice category of a functor with its two structure legs.
 
-    j       the category of pairs (a, u out of the image of a): the category
-            of elements of the action v.(a, u) = (a, v.u) (`kernel.elements`)
     s       discrete domain -> j, each object at its identity
     t       j -> codomain, projecting u onto its target
     obj_id  (a, u) -> object id, `tag(a, u)`
     mor_id  (a, u) -> {v: id of the arrow (a, u) -> (a, v.u)}, `tag(a, u, v)`
+    j       read-only, t's domain: the category of pairs (a, u out of the image
+            of a), of elements of the action v.(a, u) = (a, v.u) (`kernel.elements`)
     """
 
-    j: FinCat
     s: FinFunctor
     t: FinFunctor
     obj_id: dict[tuple[str, str], str]
     mor_id: dict[tuple[str, str], dict[str, str]]
+
+    @property
+    def j(self) -> FinCat:
+        return self.t.dom
 
 
 @memo_by_key
@@ -69,7 +72,7 @@ def j_object(f: FinFunctor) -> JPresentation:
     j = t.dom
     s_obj = {a: obj_id[(a, B.identity[f.obj_map[a]])] for a in A.objects}
     s = FinFunctor(discrete(A), j, s_obj, {A.identity[a]: j.identity[s_obj[a]] for a in A.objects})
-    pres = JPresentation(j, s, t, obj_id, mor_id)
+    pres = JPresentation(s, t, obj_id, mor_id)
     _verify_j(pres, f)
     return pres
 

@@ -2,13 +2,14 @@
 
 These deliberately avoid the production code paths they are checking:
 the pushout oracle builds the amalgamated category from generator words,
-the diagonal oracle searches all functors, the associativity, totality
-and composition oracles sweep every triple or pair of morphisms, the
-closure oracle composes any two reached morphisms until nothing is new,
-connectivity walks the underlying graph, an isomorphism is a functor
-bijective on objects and on morphisms, and the morphisms of the glued
-category are listed as normal forms, from the functor alone, and
-composed by working the composite out from their parts.
+the diagonal oracle searches all functors, identifiers are escaped a
+character at a time, the associativity, totality and composition
+oracles sweep every triple or pair of morphisms, the closure oracle
+composes any two reached morphisms until nothing is new, connectivity
+walks the underlying graph, an isomorphism is a functor bijective on
+objects and on morphisms, and the morphisms of the glued category are
+listed as normal forms, from the functor alone, and composed by working
+the composite out from their parts.
 """
 
 from __future__ import annotations
@@ -168,6 +169,14 @@ def brute_force_diagonals(sq, guard: int = 10**6) -> list[FinFunctor]:
         ):
             found.append(d)
     return found
+
+
+def tag_by_chars(*parts: str) -> str:
+    """The identifier `tag` builds, worked out a character at a time: each
+    backslash, comma, parenthesis and `<` of a part gets a backslash in front,
+    and the parts are joined by commas inside parentheses."""
+    escaped = ["".join("\\" + ch if ch in "\\,()<" else ch for ch in part) for part in parts]
+    return "(" + ",".join(escaped) + ")"
 
 
 def associativity_violations(c: FinCat) -> list[tuple]:

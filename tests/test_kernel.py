@@ -9,6 +9,7 @@ from oracles import (
     associativity_violations,
     composition_closure,
     composition_violations,
+    tag_by_chars,
     totality_violations,
 )
 
@@ -43,6 +44,19 @@ names = st.text(
 @given(st.lists(names, min_size=1, max_size=4), st.lists(names, min_size=1, max_size=4))
 def test_tag_injective(p, q):
     assert (tag(*p) == tag(*q)) == (p == q)
+
+
+@given(st.lists(st.text(alphabet="\\,()<abu", max_size=6), max_size=4))
+def test_tag_matches_a_char_by_char_escaper(parts):
+    # Tagged twice: the second time every part's escaped form is looked up,
+    # by an equal string that is a distinct object wherever Python makes one
+    # (not for "" or a single character).
+    expected = tag_by_chars(*parts)
+    assert tag(*parts) == expected
+    copies = [part.encode().decode() for part in parts]
+    assert copies == parts
+    assert all(c is not part for c, part in zip(copies, parts) if len(part) > 1)
+    assert tag(*copies) == expected
 
 
 def test_fixture_tables_are_lawful():
@@ -168,6 +182,34 @@ def test_stray_identity_entry_is_no_generator():
     assert not report.ok
     found = [v for v in report.violations if v[0] == "associativity"]
     assert found and found == associativity_violations(c)
+
+
+def _one_failure(arrow: bool) -> FinCat:
+    """One object x with 1, p, q, r and a unital table in which only
+    (q.p).p = r.p = r differs from q.(p.p) = q, a triple whose middle is the
+    generator p (r = q.p is none).  With `arrow`, also a: x -> y, where y has
+    only its identity out: the generator a is tested first, and its row out
+    of tgt a has one entry.  A failure cannot sit at such a row once the
+    units hold, since its one h is an identity."""
+    xs = ("1", "p", "q", "r")
+    pairs = {("1", m): m for m in xs} | {(m, "1"): m for m in xs}
+    pairs |= {("p", "p"): "1", ("p", "q"): "q", ("p", "r"): "r", ("q", "p"): "r", ("q", "q"): "q",
+              ("q", "r"): "r", ("r", "p"): "r", ("r", "q"): "q", ("r", "r"): "r"}
+    src = tgt = {m: "x" for m in xs}
+    if arrow:
+        pairs |= {("a", m): "a" for m in xs} | {("1y", "a"): "a", ("1y", "1y"): "1y"}
+        src, tgt = {**src, "a": "x", "1y": "y"}, {**tgt, "a": "y", "1y": "y"}
+    ids = {"x": "1", "y": "1y"} if arrow else {"x": "1"}
+    return FinCat(tuple(ids), tuple(src), src, tgt, ids, rows_from_pairs(pairs.items()))
+
+
+@pytest.mark.parametrize("arrow", [False, True], ids=["row-of-four", "one-entry-row-first"])
+def test_associativity_failure_at_a_generator_middle_only(arrow):
+    c = _one_failure(arrow)
+    assert c.generators == (("a",) if arrow else ()) + ("p", "q")
+    assert [len(c.after[g]) for g in c.generators] == ([1, 5, 5] if arrow else [4, 4])
+    assert associativity_violations(c) == [("associativity", "q", "p", "p")]
+    assert list(validate_category(c).violations) == associativity_violations(c)
 
 
 def _assoc_subject(name: str) -> FinCat:

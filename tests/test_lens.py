@@ -200,6 +200,14 @@ def test_lens_from_lambda_rejects_wrong_base():
         lens_from_lambda(pres, identity_functor(CORPUS["walking-iso"]))
 
 
+def test_lambda_presentation_rejects_a_table_failing_the_lens_laws():
+    # The lift of u at 0 lands on 0, which does not lie over 1 = tgt u.
+    bad = _tamper(identity_lens(CORPUS["interval"]), ("0", "u"), "1_0")
+    assert not validate_lens(bad).ok
+    with pytest.raises(ContractError, match="lifting table fails the lens laws: L1 0 u"):
+        lambda_presentation(bad)
+
+
 @given(st.integers(0, 3))
 def test_bang_table_filter_agrees_with_validator(choice_index):
     f = _bang()
