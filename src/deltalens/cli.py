@@ -278,7 +278,7 @@ def cmd_lift(args, ws: LawScope) -> int:
 
 
 def cmd_laws(args, ws: LawScope) -> int:
-    families = tuple(args.families.split(",")) if args.families else None
+    families = tuple(args.families.split(",")) if args.families is not None else None
     result = run_laws(ws, families=families, seed=args.seed)
     counts: dict[str, list[int]] = {}
     for c in result.cases:

@@ -58,12 +58,25 @@ _MISSING = object()
 _EMPTY: dict = {}
 
 
+class _Key(tuple):
+    """A tuple that keeps its hash, equal to the plain tuple's, from first use."""
+
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = tuple.__hash__(self)
+        return h
+
+
 def memo_by_key(build):
     """Memoise a one-argument construction by its argument's `.key`.
 
     Equal keys mean equal tables, so the first result is served to every
-    later call on an equal argument.  Results are shared between callers
-    and must not be mutated.  A call that raises caches nothing.
+    later call on an equal argument.  A key is hashed once, so each later
+    lookup costs a dict probe.  Results are shared between callers and must
+    not be mutated.  A call that raises caches nothing.
     """
     results: dict = {}
 
@@ -209,9 +222,10 @@ class FinCat:
 
     @cached_property
     def key(self) -> tuple:
-        """Canonical hashable form, used as a cache key for derived data."""
+        """Canonical hashable form, used as a cache key for derived data; hashed
+        once, so each later lookup costs a dict probe."""
         sources = tuple(sorted(self.after))
-        return (
+        return _Key((
             self.objects,
             self.morphisms,
             _table_key(self.src),
@@ -219,7 +233,7 @@ class FinCat:
             _table_key(self.identity),
             sources,
             tuple(map(_table_key, map(self.after.__getitem__, sources))),
-        )
+        ))
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -282,12 +296,12 @@ class FinFunctor:
 
     @cached_property
     def key(self) -> tuple:
-        return (
+        return _Key((
             self.dom.key,
             self.cod.key,
             _table_key(self.obj_map),
             _table_key(self.mor_map),
-        )
+        ))
 
 
 def _table_key(table: dict) -> tuple:
@@ -498,16 +512,16 @@ def _category_report(c: FinCat) -> ValidationReport:
 def validate_functor(fun: FinFunctor) -> ValidationReport:
     """Check totality and structure preservation; a failing map's pairs are swept in order."""
     v: list[Violation] = []
-    dom, cod = fun.dom, fun.cod
+    dom, cod, obj_map, mor_map = fun.dom, fun.cod, fun.obj_map, fun.mor_map
     cod_objs, cod_mors = set(cod.objects), set(cod.morphisms)
     for x in dom.objects:
-        fx = fun.obj_map.get(x)
+        fx = obj_map.get(x)
         if fx is None:
             v.append(("obj-map-missing", x))
         elif fx not in cod_objs:
             v.append(("obj-map-unknown", x, fx))
     for m in dom.morphisms:
-        fm = fun.mor_map.get(m)
+        fm = mor_map.get(m)
         if fm is None:
             v.append(("mor-map-missing", m))
         elif fm not in cod_mors:
@@ -515,19 +529,21 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     if v:
         return ValidationReport.from_violations(v)
 
+    dom_src, dom_tgt, cod_src, cod_tgt = dom.src, dom.tgt, cod.src, cod.tgt
     for m in dom.morphisms:
-        fm = fun.mor_map[m]
-        if cod.src[fm] != fun.obj_map[dom.src[m]]:
+        fm = mor_map[m]
+        if cod_src[fm] != obj_map[dom_src[m]]:
             v.append(("src-preservation", m))
-        if cod.tgt[fm] != fun.obj_map[dom.tgt[m]]:
+        if cod_tgt[fm] != obj_map[dom_tgt[m]]:
             v.append(("tgt-preservation", m))
+    dom_id, cod_id = dom.identity, cod.identity
     for x in dom.objects:
-        if fun.mor_map[dom.identity[x]] != cod.identity[fun.obj_map[x]]:
+        if mor_map[dom_id[x]] != cod_id[obj_map[x]]:
             v.append(("identity-preservation", x))
     if not v and dom._report.ok and cod._report.ok:
-        if _preserves_composition(dom, cod, fun.mor_map, dom.generators):
+        if _preserves_composition(dom, cod, mor_map, dom.generators):
             return ValidationReport(True, ())
-    mor, cod_after = fun.mor_map.get, cod.after  # a pair with an unknown id is reported too
+    mor, cod_after = mor_map.get, cod.after  # a pair with an unknown id is reported too
     bad = [(g, f) for f, row in dom.after.items() for g, gf in row.items()
            if (img := cod_after.get(mor(f), _EMPTY).get(mor(g))) is None or img != mor(gf)]
     v.extend(("composition-preservation", *pair) for pair in sorted(bad))

@@ -172,6 +172,13 @@ def test_laws_rejects_unknown_family(capsys):
     assert (code, out, err) == (2, "", "error: unknown law family: 'nonsense'\n")
 
 
+@pytest.mark.parametrize("families", ["", ","])
+def test_laws_rejects_an_empty_family_name(families, capsys):
+    # An empty list names the empty family; it does not mean every family.
+    code, out, err = run(["laws", "--families", families], capsys)
+    assert (code, out, err) == (2, "", "error: unknown law family: ''\n")
+
+
 def test_laws_reports_broken_corpus_entries(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

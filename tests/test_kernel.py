@@ -16,6 +16,7 @@ from oracles import (
 from deltalens.awfs import comonad_data, e_object, mu
 from deltalens.fixtures import CORPUS
 from deltalens.kernel import (
+    _Key,
     FinCat,
     FinFunctor,
     GuardExceededError,
@@ -34,7 +35,12 @@ from deltalens.kernel import (
     validate_functor,
 )
 from deltalens.semimonad import j_object
-from deltalens.serialization import category_from_json, category_to_json
+from deltalens.serialization import (
+    category_from_json,
+    category_to_json,
+    functor_from_json,
+    functor_to_json,
+)
 
 names = st.text(
     alphabet="abu01(),\\<>*_ ", min_size=1, max_size=10
@@ -410,6 +416,43 @@ def test_keys_are_canonical(corpus_funs, data):
     else:
         new = dataclasses.replace(old, **{field: table})
     assert (new.key == old.key) == (new == old)
+
+
+def test_a_key_hashes_its_elements_once():
+    class Counted:
+        calls = 0
+
+        def __hash__(self):
+            Counted.calls += 1
+            return 7
+
+    element = Counted()
+    key = _Key((element, "x"))
+    assert hash(key) == hash(key) and Counted.calls == 1
+    assert hash(key) == hash((element, "x"))
+
+
+def _plain(key):
+    """A copy of a key made of plain tuples all the way down."""
+    return tuple(map(_plain, key)) if isinstance(key, tuple) else key
+
+
+def test_keys_hash_and_compare_as_plain_tuples(corpus_funs, pinned_depth_3):
+    funs = [f for _, f in corpus_funs]
+    funs += [g for f in funs for g in (e_object(f).rf, e_object(f).lf)] + [pinned_depth_3]
+    subjects = [c for _, c in _tower_subjects(corpus_funs, pinned_depth_3)] + funs
+    for x in subjects:
+        plain = _plain(x.key)
+        assert type(plain) is tuple and plain == tuple(x.key)
+        assert hash(x.key) == hash(tuple(x.key)) == hash(plain)
+        assert x.key == tuple(x.key) and x.key == plain
+
+
+def test_e_object_serves_an_equal_rebuilt_functor(corpus_funs):
+    for name, f in corpus_funs:
+        again = functor_from_json(functor_to_json(f))
+        assert again is not f and again.key is not f.key and again.dom.key is not f.dom.key
+        assert e_object(again) is e_object(f), name
 
 
 def _brute_force_functors(dom: FinCat, cod: FinCat):
