@@ -26,10 +26,11 @@ builds it from them unchecked: from functor legs it builds a functor.
 Every functor out of Ef that is made from other functors is such a
 copairing.  The projection Rf copairs f with the coslice projection t,
 so it restricts to both, and `_verify_e` checks once per Ef that it is a
-functor.  Each of the others checks its legs where it builds them: E on
-squares (`e_square`, through `j_square`), the collapse `mu` of one tower
-level, the split `comonad_data` that opens one, and the extension of a
-coslice algebra (`r_algebra_from_jr`, through `validate_jr_algebra`).  Algebras
+functor.  Each of the others has functor legs: E on squares (`e_square`)
+by the argument in `j_square`'s docstring, the collapse `mu` of one tower
+level and the split `comonad_data` that opens one by a check of their
+cached result, and the extension of a coslice algebra
+(`r_algebra_from_jr`) through `validate_jr_algebra`.  Algebras
 for the monad R are again exactly delta lenses; the free one,
 `free_lens`, lifts along the projection Rf by the coslice morphisms.
 Coalgebras for the comonad L are the functors that lift squares into
@@ -226,11 +227,13 @@ def e_square(sq: CommutingSquare) -> FinFunctor:
     copairing of the top leg followed by Lg with the coslice image of the
     square followed by the coslice inclusion of Eg.
 
-    Requires the legs of `sq` to be functors; `j_square` checks the
-    coslice image on Jf.  The result commutes over the base (Rg after it
-    is the bottom leg after Rf): both sides are functors out of Ef that
-    agree after Lf, as g . top = bottom . f, and after alpha, by
-    `j_square` and because R after alpha is the coslice projection
+    Requires the legs of `sq` to be functors.  The coslice image
+    `j_square(sq)` is then a functor on Jf that lies over the bottom leg
+    and keeps identity placement, by the argument in its docstring.  The
+    result commutes over the base (Rg after it is the bottom leg after
+    Rf): both sides are functors out of Ef that agree after Lf, as
+    g . top = bottom . f, and after alpha, as the coslice image lies over
+    the bottom leg and R after alpha is the coslice projection
     (`EfPresentation`)."""
     ef, eg = e_object(sq.left), e_object(sq.right)
     return copair(ef, compose_functors(eg.lf, sq.top), compose_functors(eg.alpha, j_square(sq)))

@@ -142,18 +142,21 @@ def validate_lens_morphism(sq: CommutingSquare, l1: DeltaLens, l2: DeltaLens) ->
 
 
 def compose_lenses(l1: DeltaLens, l2: DeltaLens) -> DeltaLens:
-    """Sequential composite: lift through the second table, then the first."""
+    """Sequential composite: lift through the second table, then the first.
+    Both tables must pass `validate_lens` (a `ContractError` otherwise),
+    and then so does the composite."""
     f, g = l1.functor, l2.functor
     if not same_cat(f.cod, g.dom):
         raise InputError("lens boundaries do not match")
+    for l in (l1, l2):
+        report = validate_lens(l)
+        if not report.ok:
+            raise ContractError(f"lifting table fails the lens laws: {report.first}")
     fun = compose_functors(g, f)
     entries = {
         (a, u): l1.lift(a, l2.lift(f.obj_map[a], u)) for a, u in lens_pairs(fun)
     }
-    out = DeltaLens(fun, LiftingTable(entries))
-    if not validate_lens(out).ok:
-        raise InternalInvariantError("composite lifting table fails the lens laws")
-    return out
+    return DeltaLens(fun, LiftingTable(entries))
 
 
 @dataclass(frozen=True)

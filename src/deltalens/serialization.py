@@ -173,8 +173,10 @@ def load_payload(path: str):
         raise InputError(f"cannot read {path}: {exc}") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bytes that are not UTF-8, an over-long integer
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to load") from None
 
 
 # -- DOT ----------------------------------------------------------------------

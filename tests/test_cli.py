@@ -375,6 +375,28 @@ def test_repeated_compose_row_or_lift_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "is not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+        (b"1" * 5_000, "is not valid JSON: Exceeds the limit"),
+    ],
+    ids=["not-utf-8", "deeply-nested", "long-integer"],
+)
+def test_undecodable_file_is_an_input_error(content, message, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {path} {message}")
+    code, out, _ = run(["--corpus", str(corpus), "laws", "--families", "fixtures"], capsys)
+    assert code == 1
+    assert f"FAIL fixtures bad :: load-error {path} {message}" in out
+
+
+@pytest.mark.parametrize(
     "field, key", [("identities", "*"), ("on_objects", "*"), ("on_morphisms", "1_*")]
 )
 def test_repeated_json_key_is_an_input_error(field, key, tmp_path, capsys):

@@ -208,6 +208,15 @@ def test_lambda_presentation_rejects_a_table_failing_the_lens_laws():
         lambda_presentation(bad)
 
 
+def test_compose_lenses_rejects_a_table_failing_the_lens_laws():
+    # A composite of lawful lenses is lawful, so only the inputs are checked.
+    iv = CORPUS["interval"]
+    bad = _tamper(identity_lens(iv), ("0", "u"), "1_0")
+    for l1, l2 in ((bad, identity_lens(iv)), (identity_lens(iv), bad)):
+        with pytest.raises(ContractError, match="lifting table fails the lens laws: L1 0 u"):
+            compose_lenses(l1, l2)
+
+
 @given(st.integers(0, 3))
 def test_bang_table_filter_agrees_with_validator(choice_index):
     f = _bang()
