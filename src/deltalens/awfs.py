@@ -24,13 +24,13 @@ Ef is a pushout, so a functor out of it is fixed by its two
 restrictions, one to the domain and one to the coslice, and `copair`
 builds it from them unchecked: from functor legs it builds a functor.
 Every functor out of Ef that is made from other functors is such a
-copairing.  The projection Rf copairs f with the coslice projection t,
-so it restricts to both, and `_verify_e` checks once per Ef that it is a
-functor.  Each of the others has functor legs: E on squares (`e_square`)
-by the argument in `j_square`'s docstring, the collapse `mu` of one tower
-level and the split `comonad_data` that opens one by a check of their
-cached result, and the extension of a coslice algebra
-(`r_algebra_from_jr`) through `validate_jr_algebra`.  Algebras
+copairing.  The projection Rf copairs the functors f and t, the coslice
+projection, so it is a functor and restricts to both; like Jf, Ef is
+built unchecked (`e_object`).  Each of the others has functor legs: E on
+squares (`e_square`) by the argument in `j_square`'s docstring, the
+collapse `mu` of one tower level and the split `comonad_data` that opens
+one by a check of their cached result, and the extension of a coslice
+algebra (`r_algebra_from_jr`) through `validate_jr_algebra`.  Algebras
 for the monad R are again exactly delta lenses; the free one,
 `free_lens`, lifts along the projection Rf by the coslice morphisms.
 Coalgebras for the comonad L are the functors that lift squares into
@@ -51,18 +51,17 @@ from .kernel import (
     InputError,
     InternalInvariantError,
     ValidationReport,
+    _lawful_by_construction,
     commutes,
     compose_functors,
-    counit_inclusion,
     identity_functor,
     memo_by_key,
     same_cat,
     same_functor,
     tag,
-    validate_category,
     validate_functor,
 )
-from .factorization import CommutingSquare, is_initial, orthogonal_lift
+from .factorization import CommutingSquare, orthogonal_lift
 from .lens import DeltaLens, LiftingTable, validate_lens
 from .semimonad import (
     JPresentation,
@@ -99,10 +98,10 @@ class EfPresentation:
 
     The projection `rf`, e -> codomain with f = rf . lf, is a copairing
     like every other functor out of e made from other functors: of the
-    functor with the coslice projection t.  It is built on first use, in
-    `_verify_e`, which checks only that it is a functor: rf . alpha = t
-    and rf . lf = f hold because every copairing restricts to its legs
-    (`copair`), and the placement check holds as t sends (a, 1) to f(a).
+    functor with the coslice projection t, built on first use.  It is a
+    functor with rf . alpha = t and rf . lf = f, as a copairing of functor
+    legs is a functor that restricts to them (`copair`), and the placement
+    check holds as t sends (a, 1) to f(a).
     """
 
     functor: FinFunctor
@@ -132,7 +131,12 @@ def retraction_pairs(f: FinFunctor, a: str) -> list[tuple[str, str]]:
 
 @memo_by_key
 def e_object(f: FinFunctor) -> EfPresentation:
-    """Build (and cache) the glued factorisation of f."""
+    """Build (and cache) the glued factorisation of f, unchecked.  e is the
+    pushout of Jf and A under the discrete domain, whose normal forms
+    (`tests/oracles.py`) `_glued_compose` composes, so it is marked lawful;
+    its legs Lf and alpha are functors that agree on placed objects.  Lf is
+    initial: the crossing u . Lf(w) into (a, u) from (a2, 1) is joined by w
+    to the coslice u out of (a, 1).  The `constructions` family checks this."""
     A, B = f.dom, f.cod
     jp = j_object(f)
     J, placed = jp.j, jp.s.obj_map
@@ -148,16 +152,15 @@ def e_object(f: FinFunctor) -> EfPresentation:
                 src[m] = jp.obj_id[(a1, u1)]
                 tgt[m] = jp.obj_id[(a2, u2)]
                 crossings.append((m, jp.mor_id[(a1, u1)][v], w, exit_))
-    e = FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), _glued_compose(jp, A, crossings))
+    e = _lawful_by_construction(
+        FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), _glued_compose(jp, A, crossings)))
     # Lf(w) is the crossing through w that enters and leaves along identities.
     ids = J.identity_set
     lf_map = {w: m for m, enter, w, exit_ in crossings if enter in ids and exit_ in ids}
     lf_map.update({A.identity[a]: J.identity[placed[a]] for a in A.objects})
     lf = FinFunctor(A, e, dict(placed), lf_map)
     alpha = FinFunctor(J, e, {x: x for x in J.objects}, {m: m for m in J.morphisms})
-    pres = EfPresentation(f, jp, e, lf, alpha, tuple(crossings))
-    _verify_e(pres)
-    return pres
+    return EfPresentation(f, jp, e, lf, alpha, tuple(crossings))
 
 
 def _glued_compose(
@@ -209,17 +212,6 @@ def _glued_compose(
                 through = rows[after_c[enter2]][w2]
                 out.update({m2: through[z] for z, m2 in to2.items()})
     return after
-
-
-def _verify_e(pres: EfPresentation) -> None:
-    validate_category(pres.e).require("glued category tables are inconsistent")
-    validate_functor(pres.lf).require("domain inclusion is not a functor")
-    validate_functor(pres.alpha).require("coslice inclusion is not a functor")
-    validate_functor(pres.rf).require("projection is not a functor")
-    if not commutes(pres.alpha, pres.j.s, pres.lf, counit_inclusion(pres.functor.dom)):
-        raise InternalInvariantError("glueing legs disagree on placed objects")
-    if not is_initial(pres.lf):
-        raise InternalInvariantError("domain inclusion is not initial")
 
 
 def e_square(sq: CommutingSquare) -> FinFunctor:

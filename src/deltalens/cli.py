@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .kernel import (
@@ -280,14 +281,9 @@ def cmd_lift(args, ws: LawScope) -> int:
 def cmd_laws(args, ws: LawScope) -> int:
     families = tuple(args.families.split(",")) if args.families is not None else None
     result = run_laws(ws, families=families, seed=args.seed)
-    counts: dict[str, list[int]] = {}
-    for c in result.cases:
-        row = counts.setdefault(c.family, [0, 0])
-        row[0] += 1
-        row[1] += 0 if c.ok else 1
-    for fam in sorted(counts):
-        total, bad = counts[fam]
-        print(f"{fam}: {total} cases, {bad} failures")
+    total, bad = Counter(c.family for c in result.cases), Counter(c.family for c in result.failures)
+    for fam in sorted(total):
+        print(f"{fam}: {total[fam]} cases, {bad[fam]} failures")
     for c in result.failures:
         print(
             f"FAIL {c.family} {c.subject} :: "

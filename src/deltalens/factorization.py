@@ -2,8 +2,10 @@
 
 Every functor factors as an initial functor followed by a discrete
 opfibration.  Both classes are read off the pairs (a, u: fun a -> b),
-and both predicates are plain table computations, not cached: each is
-decided once where a construction is verified.  `_roots` puts the pairs
+and both predicates are plain table computations, not cached: on a built
+leg each is decided once, where the facts of its construction are
+checked (the `constructions` law family for J(f) and E(f),
+`comprehensive_factorise` for its own legs).  `_roots` puts the pairs
 into classes, one union-find for all b, each class over a single b: fun
 is initial when there is exactly one class over each b.  `components`
 names each class by its least pair, and `comprehensive_factorise` builds

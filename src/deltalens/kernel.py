@@ -240,6 +240,12 @@ class FinCat:
         return _category_report(self)
 
     @cached_property
+    def lawful(self) -> bool:
+        """The report's verdict, for fast paths, unless a construction marked its
+        result (`_lawful_by_construction`); `validate_category` reads no mark."""
+        return self._report.ok
+
+    @cached_property
     def generators(self) -> tuple[str, ...] | None:
         """Sorted non-identities whose closure under composition, from the objects'
         identities (not stray `identity` entries), is every morphism of a typed table,
@@ -399,16 +405,12 @@ def _category_report(c: FinCat) -> ValidationReport:
     v: list[Violation] = []
     obj_set = set(c.objects)
     mor_set = set(c.morphisms)
-    seen: set[str] = set()
-    for x in c.objects:
-        if x in seen:
-            v.append(("duplicate-object", x))
-        seen.add(x)
-    seen = set()
-    for m in c.morphisms:
-        if m in seen:
-            v.append(("duplicate-morphism", m))
-        seen.add(m)
+    for ids, name in ((c.objects, "duplicate-object"), (c.morphisms, "duplicate-morphism")):
+        seen: set[str] = set()
+        for x in ids:
+            if x in seen:
+                v.append((name, x))
+            seen.add(x)
 
     typed: set[str] = set()
     for m in c.morphisms:
@@ -540,7 +542,7 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     for x in dom.objects:
         if mor_map[dom_id[x]] != cod_id[obj_map[x]]:
             v.append(("identity-preservation", x))
-    if not v and dom._report.ok and cod._report.ok:
+    if not v and dom.lawful and cod.lawful:
         if _preserves_composition(dom, cod, mor_map, dom.generators):
             return ValidationReport(True, ())
     mor, cod_after = mor_map.get, cod.after  # a pair with an unknown id is reported too
@@ -551,6 +553,12 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
 
 
 # -- constructions ----------------------------------------------------------
+
+
+def _lawful_by_construction(c: FinCat) -> FinCat:
+    """c, marked lawful by a construction whose docstring argues it is a category."""
+    c.__dict__["lawful"] = True
+    return c
 
 
 def discrete(c: FinCat) -> FinCat:
@@ -573,8 +581,11 @@ def elements(base: FinCat, over: dict, act, obj_name, mor_name) -> tuple[FinFunc
     over[p]; v out of over[p] moves it along mor_name(p, v) to act(p, v), and
     (p, v2) after (p, v1) is (p, v2.v1).  Returns the projection, obj_id
     (p -> object) and mor_id (p -> {v: morphism}), every table in the order
-    of `over`.  act(p, v) must lie over the target of v; nothing is checked,
-    so a caller checks what it builds."""
+    of `over`.  It is marked lawful unchecked: when base is a category and
+    act an action (act(p, v) over the target of v, act(p, 1) = p and
+    act(act(p, v1), v2) = act(p, v2.v1)), (p, v2.v1) runs from p to the
+    target of (act(p, v1), v2), and units and associativity are base's.
+    The `constructions` law family and the tests check what callers build."""
     obj_id = {p: obj_name(p) for p in over}
     mor_id = {p: {v: mor_name(p, v) for v in base.out(b)} for p, b in over.items()}
     src, tgt, after = {}, {}, {}
@@ -584,7 +595,8 @@ def elements(base: FinCat, over: dict, act, obj_name, mor_name) -> tuple[FinFunc
             src[m1], tgt[m1], after_v1 = obj_id[p], obj_id[q], base.after[v1]
             after[m1] = {m2: row[after_v1[v2]] for v2, m2 in mor_id[q].items()}
     identity = {obj_id[p]: mor_id[p][base.identity[b]] for p, b in over.items()}
-    cat = FinCat(tuple(obj_id.values()), tuple(src), src, tgt, identity, after)
+    cat = _lawful_by_construction(
+        FinCat(tuple(obj_id.values()), tuple(src), src, tgt, identity, after))
     on_mor = {m: v for row in mor_id.values() for v, m in row.items()}
     return FinFunctor(cat, base, {obj_id[p]: b for p, b in over.items()}, on_mor), obj_id, mor_id
 
@@ -660,7 +672,7 @@ def enumerate_functors(
         )
     found: list[FinFunctor] = []
     nonid = dom.nonidentity
-    gens = dom.generators if dom._report.ok and cod._report.ok else None
+    gens = dom.generators if dom.lawful and cod.lawful else None
     for images in itertools.product(cod.objects, repeat=len(dom.objects)):
         obj_map = dict(zip(dom.objects, images))
         base = {

@@ -13,7 +13,9 @@ fails that case with the witness `("error", "<type>: <message>")` and
 the other cases still run.  A family does not re-check what the
 construction it calls already decides: `comprehensive_factorise`,
 `orthogonal_lift` and `free_lens` raise unless their results satisfy the
-laws their families name.
+laws their families name.  `j_object` and `e_object` check nothing, by
+the arguments in their docstrings; the `constructions` family decides
+those facts on the corpus and the tower inputs, categories first.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .kernel import (
     identity_functor,
     same_cat,
     validate_category,
+    validate_functor,
 )
 from .factorization import (
     CommutingSquare,
@@ -53,7 +56,7 @@ from .lens import (
     validate_lens_morphism,
 )
 from .search import enumerate_lens_structures
-from .semimonad import jr_from_lens, lens_from_jr, validate_semimonad
+from .semimonad import _layered_report, jr_from_lens, lens_from_jr, validate_semimonad
 from .awfs import (
     cofree_coalgebra,
     e_object,
@@ -72,6 +75,7 @@ SQUARE_FIXTURES = ("interval", "terminal", "walking-iso", "walking-retraction")
 TOWER_FIXTURES = ("discrete-pair", "interval", "parallel-pair", "terminal")
 FAMILIES = (
     "fixtures",
+    "constructions",
     "factorisation",
     "orthogonality",
     "semimonad",
@@ -231,6 +235,29 @@ def _fixture_cases(scope: LawScope) -> list[LawCase]:
     return cases
 
 
+def _constructions_report(f: FinFunctor) -> ValidationReport:
+    """The facts `j_object` and `e_object` argue for unchecked: J(f) and E(f)
+    are categories, by their full reports, then the laws of their legs."""
+    ef = e_object(f)
+    jp, iota = ef.j, counit_inclusion(f.dom)
+    return _layered_report(
+        (("j-category", lambda: validate_category(jp.j)),
+         ("e-category", lambda: validate_category(ef.e))),
+        (
+            ("s-functor", lambda: validate_functor(jp.s).ok),
+            ("t-functor", lambda: validate_functor(jp.t).ok),
+            ("s-initial", lambda: is_initial(jp.s)),
+            ("t-discrete-opfibration", lambda: is_discrete_opfibration(jp.t)),
+            ("t-after-s", lambda: commutes(jp.t, jp.s, f, iota)),
+            ("lf-functor", lambda: validate_functor(ef.lf).ok),
+            ("alpha-functor", lambda: validate_functor(ef.alpha).ok),
+            ("rf-functor", lambda: validate_functor(ef.rf).ok),
+            ("alpha-after-s", lambda: commutes(ef.alpha, jp.s, ef.lf, iota)),
+            ("lf-initial", lambda: is_initial(ef.lf)),
+        ),
+    )
+
+
 def _factorises(fun: FinFunctor) -> bool:
     # Raises unless the first leg is initial, the second a discrete
     # opfibration, and the two recompose to fun.
@@ -376,6 +403,9 @@ def run_laws(
 
     builders = {
         "fixtures": lambda: _fixture_cases(scope),
+        "constructions": lambda: _guarded_cases(
+            "constructions", functors + _tower_inputs(scope), _constructions_report
+        ),
         "factorisation": lambda: _factorisation_cases(functors),
         "orthogonality": lambda: _orthogonality_cases(squares),
         "semimonad": lambda: _square_family_cases("semimonad", validate_semimonad, functors, by_left),

@@ -78,12 +78,10 @@ def identity_lens(c: FinCat) -> DeltaLens:
 
 def validate_lens(l: DeltaLens) -> ValidationReport:
     """Check table totality, well-typedness, and the laws L1, L2, L3."""
-    v: list[tuple] = []
     fun = l.functor
     A, B = fun.dom, fun.cod
     wanted, known = set(lens_pairs(fun)), set(A.morphisms)
-    for pair in sorted(set(l.lifts.entries) - wanted):
-        v.append(("stray-lift", *pair))
+    v = [("stray-lift", *pair) for pair in sorted(set(l.lifts.entries) - wanted)]
     for (a, u) in sorted(wanted):
         m = l.lifts.entries.get((a, u))
         if m is None:

@@ -31,12 +31,7 @@ def enumerate_commuting_squares(
     making the two composites agree."""
     tops = enumerate_functors(f.dom, g.dom, guard)
     bottoms = enumerate_functors(f.cod, g.cod, guard)
-    out = []
-    for h in tops:
-        for k in bottoms:
-            if commutes(g, h, k, f):
-                out.append(CommutingSquare(f, g, h, k))
-    return out
+    return [CommutingSquare(f, g, h, k) for h in tops for k in bottoms if commutes(g, h, k, f)]
 
 
 def enumerate_lens_structures(
@@ -58,38 +53,24 @@ def enumerate_lens_structures(
                 f"lens search space exceeds the guard ({space} > {guard})"
             )
         candidates.append(cands)
-    out = []
-    for choice in itertools.product(*candidates):
-        l = DeltaLens(fun, LiftingTable(dict(zip(pairs, choice))))
-        if validate_lens(l).ok:
-            out.append(l)
-    return out
+    lenses = (DeltaLens(fun, LiftingTable(dict(zip(pairs, c)))) for c in itertools.product(*candidates))
+    return [l for l in lenses if validate_lens(l).ok]
 
 
 def enumerate_jr_algebras(
     fun: FinFunctor, guard: int = DEFAULT_GUARD
 ) -> list[JrAlgebra]:
     """All lawful structure maps off the coslice category of fun."""
-    pres = j_object(fun)
-    out = []
-    for p in enumerate_functors(pres.j, fun.dom, guard):
-        alg = JrAlgebra(fun, p)
-        if validate_jr_algebra(alg).ok:
-            out.append(alg)
-    return out
+    algs = (JrAlgebra(fun, p) for p in enumerate_functors(j_object(fun).j, fun.dom, guard))
+    return [alg for alg in algs if validate_jr_algebra(alg).ok]
 
 
 def enumerate_r_algebra_structures(
     fun: FinFunctor, guard: int = DEFAULT_GUARD
 ) -> list[RAlgebra]:
     """All lawful structure maps collapsing the glued category of fun."""
-    pres = e_object(fun)
-    out = []
-    for p in enumerate_functors(pres.e, fun.dom, guard):
-        alg = RAlgebra(fun, p)
-        if validate_r_algebra(alg).ok:
-            out.append(alg)
-    return out
+    algs = (RAlgebra(fun, p) for p in enumerate_functors(e_object(fun).e, fun.dom, guard))
+    return [alg for alg in algs if validate_r_algebra(alg).ok]
 
 
 def enumerate_l_coalgebras(
@@ -97,13 +78,8 @@ def enumerate_l_coalgebras(
 ) -> list[LCoalgebra]:
     """All lawful structure maps splitting the codomain of fun into its
     glued category."""
-    pres = e_object(fun)
-    out = []
-    for q in enumerate_functors(fun.cod, pres.e, guard):
-        coalg = LCoalgebra(fun, q)
-        if validate_l_coalgebra(coalg).ok:
-            out.append(coalg)
-    return out
+    coalgs = (LCoalgebra(fun, q) for q in enumerate_functors(fun.cod, e_object(fun).e, guard))
+    return [coalg for coalg in coalgs if validate_l_coalgebra(coalg).ok]
 
 
 def discrete_opfibrations(

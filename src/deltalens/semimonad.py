@@ -23,7 +23,6 @@ from .kernel import (
     FinCat,
     FinFunctor,
     InputError,
-    InternalInvariantError,
     ValidationReport,
     commutes,
     counit_inclusion,
@@ -34,10 +33,9 @@ from .kernel import (
     same_cat,
     same_functor,
     tag,
-    validate_category,
     validate_functor,
 )
-from .factorization import CommutingSquare, is_discrete_opfibration, is_initial
+from .factorization import CommutingSquare
 from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
 
 
@@ -65,7 +63,11 @@ class JPresentation:
 
 @memo_by_key
 def j_object(f: FinFunctor) -> JPresentation:
-    """Build (and cache) the coslice presentation of f."""
+    """Build (and cache) the coslice presentation of f, unchecked: Jf is the
+    category of elements of an action (`kernel.elements`), s is a functor,
+    initial as the one morphism into (a, u) from a placed object is u out of
+    (a, 1), and t . s = f . counit as t sends (a, 1) to f a.  The
+    `constructions` law family checks this."""
     A, B = f.dom, f.cod
     over = {(a, u): B.tgt[u] for a in A.objects for u in B.out(f.obj_map[a])}
     extend = lambda p, v: (p[0], B.after[p[1]][v])
@@ -73,21 +75,7 @@ def j_object(f: FinFunctor) -> JPresentation:
     j = t.dom
     s_obj = {a: obj_id[(a, B.identity[f.obj_map[a]])] for a in A.objects}
     s = FinFunctor(discrete(A), j, s_obj, {A.identity[a]: j.identity[s_obj[a]] for a in A.objects})
-    pres = JPresentation(s, t, obj_id, mor_id)
-    _verify_j(pres, f)
-    return pres
-
-
-def _verify_j(pres: JPresentation, f: FinFunctor) -> None:
-    validate_category(pres.j).require("coslice category tables are inconsistent")
-    legs = validate_functor(pres.s).merged(validate_functor(pres.t))
-    legs.require("coslice structure legs are not functors")
-    if not is_initial(pres.s):
-        raise InternalInvariantError("identity placement leg is not initial")
-    if not is_discrete_opfibration(pres.t):
-        raise InternalInvariantError("coslice projection is not a discrete opfibration")
-    if not commutes(pres.t, pres.s, f, counit_inclusion(f.dom)):
-        raise InternalInvariantError("coslice legs do not factor the functor")
+    return JPresentation(s, t, obj_id, mor_id)
 
 
 def j_square(sq: CommutingSquare) -> FinFunctor:
@@ -157,7 +145,8 @@ def _layered_report(
     distributive law and the algebra validators.
 
     structure   (name, holds) pairs run in order: the first that fails is
-                the whole report, and the laws and squares are skipped
+                the whole report, and the laws and squares are skipped; a
+                holds that returns a report adds its first violation
     laws        (name, holds) pairs: every one that fails is reported
     squares     naturality squares out of f, each reported as (name, i)
                 when `naturality`'s predicate fails on it
@@ -166,9 +155,13 @@ def _layered_report(
     """
     if any(not same_functor(sq.left, f) for sq in squares):
         raise InputError("naturality square does not start at the functor under test")
-    broken = next((name for name, holds in structure if not holds()), None)
-    if broken:
-        return ValidationReport.from_violations([(broken,)])
+    for name, holds in structure:
+        out = holds()
+        if isinstance(out, ValidationReport):
+            if not out.ok:
+                return ValidationReport.from_violations([(name, *out.violations[0])])
+        elif not out:
+            return ValidationReport.from_violations([(name,)])
     v: list[tuple] = [(name,) for name, holds in laws if not holds()]
     if squares:
         name, natural = naturality

@@ -37,6 +37,7 @@ from deltalens.kernel import (
     enumerate_functors,
     identity_functor,
     tag,
+    validate_category,
     validate_functor,
 )
 from deltalens.lens import (
@@ -52,7 +53,12 @@ from deltalens.search import enumerate_l_coalgebras, enumerate_r_algebra_structu
 from deltalens import awfs, cli, laws, semimonad
 from deltalens.cli import main
 from deltalens.laws import run_laws
-from deltalens.serialization import canonical_dumps, category_to_json, functor_to_json
+from deltalens.serialization import (
+    canonical_dumps,
+    category_from_json,
+    category_to_json,
+    functor_to_json,
+)
 from deltalens.semimonad import (
     JrAlgebra,
     _collapse,
@@ -599,6 +605,15 @@ def test_crossings_and_coslice_inclusion_hold_by_construction(corpus_funs):
         assert ef.e.objects == ef.j.j.objects
 
 
+def _constructions_case(monkeypatch, f):
+    """The `constructions` law case on f, with J(f) and E(f) built afresh, so
+    that a fault patched into their construction reaches them."""
+    monkeypatch.setattr(awfs, "j_object", j_object.__wrapped__)
+    monkeypatch.setattr(laws, "e_object", e_object.__wrapped__)
+    [case] = laws._guarded_cases("constructions", [("f", f)], laws._constructions_report)
+    return case
+
+
 def test_a_wrong_base_image_fails_the_projection_check(monkeypatch, corpus_funs):
     # A crossing m that leaves along a non-identity coslice morphism is
     # that morphism after the crossing that leaves at (a2, 1), so Rf stops
@@ -623,14 +638,12 @@ def test_a_wrong_base_image_fails_the_projection_check(monkeypatch, corpus_funs)
         return dataclasses.replace(out, mor_map={**out.mor_map, m: wrong})
 
     monkeypatch.setattr(awfs, "copair", faulty)
-    with pytest.raises(InternalInvariantError, match="projection is not a functor"):
-        e_object.__wrapped__(f)
+    assert _constructions_case(monkeypatch, f).witness == (("rf-functor",),)
 
 
-def test_a_wrong_composite_is_named_by_the_glued_category_check(monkeypatch):
-    # One entry of the rows that `e_object` builds is replaced by its
-    # first factor, which has the wrong target; the error ends with the
-    # first violation of the report, which names that entry.
+def _wrong_composite(monkeypatch):
+    """Replace one entry of the rows that `e_object` builds for the identity
+    on walking-iso by its first factor, which has the wrong target."""
     g, f = "(0,1_0,f)", "(0,f,g)"
     real = awfs._glued_compose
 
@@ -640,11 +653,73 @@ def test_a_wrong_composite_is_named_by_the_glued_category_check(monkeypatch):
         return {**after, f: {**after[f], g: f}}
 
     monkeypatch.setattr(awfs, "_glued_compose", wrong)
-    with pytest.raises(
-        InternalInvariantError,
-        match=r"^glued category tables are inconsistent: composite-typing \(0,1_0,f\) \(0,f,g\) \(0,f,g\)$",
-    ):
-        e_object.__wrapped__(identity_functor(CORPUS["walking-iso"]))
+
+
+def test_a_wrong_composite_is_named_by_the_glued_category_check(monkeypatch):
+    # E(f)'s category is checked first, by its full report, and the case's
+    # witness ends with the report's first violation, which names the entry.
+    _wrong_composite(monkeypatch)
+    case = _constructions_case(monkeypatch, identity_functor(CORPUS["walking-iso"]))
+    assert case.witness == (("e-category", "composite-typing", "(0,1_0,f)", "(0,f,g)", "(0,f,g)"),)
+
+
+def test_a_dropped_crossing_fails_the_constructions_case(monkeypatch):
+    # The one crossing of the identity on interval, through u, is left out
+    # of the list that Ef's rows, Lf and Rf are built from; it stays a
+    # morphism of Ef, with no composites.
+    real = awfs._glued_compose
+
+    def dropped(jp, A, crossings):
+        crossings.pop()
+        return real(jp, A, crossings)
+
+    monkeypatch.setattr(awfs, "_glued_compose", dropped)
+    case = _constructions_case(monkeypatch, identity_functor(CORPUS["interval"]))
+    assert case.witness == (("e-category", "missing-composite", "(1,1_1,1_1)", "(I,1_0,1_0,u,1_1)"),)
+
+
+def test_a_wrong_target_in_a_category_of_elements_fails_the_constructions_case(
+    monkeypatch, corpus_funs
+):
+    # The first non-identity v moves its point to another point over the
+    # same object: the result is still marked lawful, and J(f)'s full report
+    # names the composite that lands elsewhere.
+    real = semimonad.elements
+
+    def wrong(base, over, act, obj_name, mor_name):
+        hit = []
+
+        def act2(p, v):
+            q = act(p, v)
+            others = [r for r, b in over.items() if b == over[q] and r != q]
+            if hit or base.is_identity(v) or not others:
+                return q
+            hit.append(p)
+            return others[0]
+
+        return real(base, over, act2, obj_name, mor_name)
+
+    monkeypatch.setattr(semimonad, "elements", wrong)
+    case = _constructions_case(monkeypatch, dict(corpus_funs)["interval->walking-iso#0"])
+    assert case.witness == (("j-category", "composite-typing", "(0,1_0,f)", "(0,f,g)", "(0,f,1_1)"),)
+
+
+def test_the_lawful_mark_never_reaches_validate_category(monkeypatch, capsys):
+    # E(f) is marked lawful when it is built, yet `validate_category` and
+    # `deltalens validate` compute its full report; a copy loaded from JSON
+    # has no mark.
+    _wrong_composite(monkeypatch)
+    ef = e_object.__wrapped__(identity_functor(CORPUS["walking-iso"]))
+    assert vars(ef.e)["lawful"] is True
+    violation = "composite-typing (0,1_0,f) (0,f,g) (0,f,g)"
+    assert validate_category(ef.e).first == violation
+    loaded = category_from_json(category_to_json(ef.e))
+    assert "lawful" not in vars(loaded) and not loaded.lawful
+    monkeypatch.setattr(cli, "e_object", e_object.__wrapped__)
+    assert main(["validate", "ef:id:walking-iso"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL: ef:id:walking-iso (category)"
+    assert f"violation: ef:id:walking-iso: {violation}" in out
 
 
 def test_pinned_depth_3_canonical_json_is_pinned(pinned_depth_3):

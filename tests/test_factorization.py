@@ -24,6 +24,7 @@ from deltalens.kernel import (
     counit_inclusion,
     identity_functor,
     tag,
+    validate_category,
     validate_functor,
 )
 from deltalens.lens import lambda_presentation
@@ -204,7 +205,8 @@ def test_coslice_is_the_middle_of_the_counit_factorisation(corpus_funs):
 def test_each_category_of_elements_lifts_along_its_rows(monkeypatch, corpus_funs, corpus_lens_list):
     # J(f)'s t, the factorisation's m and the lambda presentation's over are
     # each the projection that `kernel.elements` returns, and its unique lift
-    # of v at the object of a point p is the morphism in p's row at v.
+    # of v at the object of a point p is the morphism in p's row at v.  Each
+    # domain is marked lawful unchecked, and its full report agrees.
     built = []
 
     def recording(*args):
@@ -220,6 +222,8 @@ def test_each_category_of_elements_lifts_along_its_rows(monkeypatch, corpus_funs
     assert len(built) == len(projections) == 2 * 125 + 46
     for projection, (built_projection, obj_id, mor_id) in zip(projections, built):
         assert projection is built_projection
+        assert vars(projection.dom)["lawful"] is True
+        assert validate_category(projection.dom).ok
         assert opfibration_lifts(projection) == {
             (obj_id[p], v): m for p, row in mor_id.items() for v, m in row.items()
         }

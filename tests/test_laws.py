@@ -90,6 +90,14 @@ def test_corpus_has_advertised_shape(corpus_funs, corpus_sqs, corpus_lens_list):
     assert {"id", "dof", "table"} <= prefixes
 
 
+def test_constructions_family_covers_the_corpus_and_the_tower_inputs(corpus_funs):
+    # One case per corpus functor and one per tower input: 125 + 8.
+    result = run_laws(families=("constructions",))
+    assert (len(corpus_funs), len(laws._tower_inputs(default_scope()))) == (125, 8)
+    assert len(result.cases) == 133
+    assert result.ok
+
+
 def test_every_family_name_runs():
     quick = ("fixtures", "tower")
     result = run_laws(default_scope(), families=quick)
