@@ -30,7 +30,9 @@ built unchecked (`e_object`).  Each of the others has functor legs: E on
 squares (`e_square`) by the argument in `j_square`'s docstring, the
 collapse `mu` of one tower level and the split `comonad_data` that opens
 one by a check of their cached result, and the extension of a coslice
-algebra (`r_algebra_from_jr`) through `validate_jr_algebra`.  Algebras
+algebra (`r_algebra_from_jr`) through `validate_jr_algebra`.  As alpha
+is the identity on ids, a coslice leg into Jg already names Eg's ids, so
+E on squares and the split build no composite with alpha.  Algebras
 for the monad R are again exactly delta lenses; the free one,
 `free_lens`, lifts along the projection Rf by the coslice morphisms.
 Coalgebras for the comonad L are the functors that lift squares into
@@ -216,19 +218,24 @@ def _glued_compose(
 
 def e_square(sq: CommutingSquare) -> FinFunctor:
     """Apply the factorisation to a commuting square of functors: the
-    copairing of the top leg followed by Lg with the coslice image of the
-    square followed by the coslice inclusion of Eg.
+    copairing of Lg . top with the coslice image of the square followed by
+    the coslice inclusion of Eg.  As alpha_g is the identity on ids,
+    `j_square(sq)` already names Eg's ids and is extended in place
+    (`_glue`); of the two composites only Lg . top's tables on A are made.
 
-    Requires the legs of `sq` to be functors.  The coslice image
-    `j_square(sq)` is then a functor on Jf that lies over the bottom leg
-    and keeps identity placement, by the argument in its docstring.  The
-    result commutes over the base (Rg after it is the bottom leg after
-    Rf): both sides are functors out of Ef that agree after Lf, as
+    Requires the legs of `sq` to be functors.  The coslice image is then a
+    functor on Jf that lies over the bottom leg and keeps identity
+    placement, by the argument in `j_square`'s docstring.  The result
+    commutes over the base (Rg after it is the bottom leg after Rf): both
+    sides are functors out of Ef that agree after Lf, as
     g . top = bottom . f, and after alpha, as the coslice image lies over
     the bottom leg and R after alpha is the coslice projection
     (`EfPresentation`)."""
     ef, eg = e_object(sq.left), e_object(sq.right)
-    return copair(ef, compose_functors(eg.lf, sq.top), compose_functors(eg.alpha, j_square(sq)))
+    on_j, top, lg = j_square(sq), sq.top, eg.lf
+    on_a_obj = {a: lg.obj_map[x] for a, x in top.obj_map.items()}
+    on_a_mor = {w: lg.mor_map[u] for w, u in top.mor_map.items()}
+    return _glue(ef, eg.e, on_j.obj_map, on_j.mor_map, on_a_obj, on_a_mor)
 
 
 def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunctor:
@@ -253,28 +260,32 @@ def copair(pres: EfPresentation, on_a: FinFunctor, on_j: FinFunctor) -> FinFunct
     check makes on_j agree with on_a, and a non-identity w to the crossing
     through w along placed identities, which goes to on_a(1) . on_a(w) .
     on_a(1) = on_a(w)."""
-    A = pres.functor.dom
-    if not same_cat(on_a.dom, A) or not same_cat(on_j.dom, pres.j.j):
+    if not same_cat(on_a.dom, pres.functor.dom) or not same_cat(on_j.dom, pres.j.j):
         raise InputError("copair legs do not start at the glueing feet")
     if not same_cat(on_a.cod, on_j.cod):
         raise InputError("copair legs do not share a codomain")
+    return _glue(pres, on_a.cod, dict(on_j.obj_map), dict(on_j.mor_map), on_a.obj_map, on_a.mor_map)
+
+
+def _glue(
+    pres: EfPresentation, X: FinCat, obj_map: dict, mor_map: dict, on_a_obj: dict, on_a_mor: dict
+) -> FinFunctor:
+    """`copair` into X from the legs' tables, less its boundary checks: on_j's
+    tables obj_map and mor_map become the result's, mor_map extended in place."""
+    A, placed = pres.functor.dom, pres.j.s
     # The two legs restricted to the discrete category on A: equal values
     # on each object a and on its identity.
-    placed = pres.j.s
     if any(
-        on_j.obj_map[placed.obj_map[a]] != on_a.obj_map[a]
-        or on_j.mor_map[placed.mor_map[A.identity[a]]] != on_a.mor_map[A.identity[a]]
+        obj_map[placed.obj_map[a]] != on_a_obj[a]
+        or mor_map[placed.mor_map[A.identity[a]]] != on_a_mor[A.identity[a]]
         for a in A.objects
     ):
         raise ContractError("copair legs disagree on placed objects")
-    X = on_a.cod
     after, empty = X.after, {}  # a composite is None only if a leg is not a functor
-    on_j_mor, on_a_mor = on_j.mor_map, on_a.mor_map
-    mor_map = dict(on_j_mor)
     for m, enter, w, exit_ in pres.crossings:
-        through = after.get(on_a_mor[w], empty).get(on_j_mor[exit_])
-        mor_map[m] = after.get(on_j_mor[enter], empty).get(through)
-    return FinFunctor(pres.e, X, dict(on_j.obj_map), mor_map)
+        through = after.get(on_a_mor[w], empty).get(mor_map[exit_])
+        mor_map[m] = after.get(mor_map[enter], empty).get(through)
+    return FinFunctor(pres.e, X, obj_map, mor_map)
 
 
 # -- the monad ----------------------------------------------------------------
@@ -404,17 +415,16 @@ def free_lens(f: FinFunctor) -> DeltaLens:
 def comonad_data(f: FinFunctor) -> FinFunctor:
     """Split one tower level open: the comultiplication Ef -> E(lf of f),
     the copairing of L(lf of f) with the coslice map delta: Jf -> J(lf of
-    f), found by orthogonal lifting.  Only functoriality is checked: a
+    f), found by orthogonal lifting and read as landing in E(lf of f), as
+    alpha is the identity on ids.  Only functoriality is checked: a
     copairing restricts to L(lf of f) after Lf, and R(lf of f) after it
     is the identity, as the two agree after Lf and after alpha (R . L is
     the functor factored and R . alpha the coslice projection,
     `EfPresentation`; `orthogonal_lift`)."""
     ef = e_object(f)
     el = e_object(ef.lf)
-    delta = orthogonal_lift(
-        CommutingSquare(ef.j.s, el.j.t, el.j.s, ef.alpha)
-    )
-    out = copair(ef, el.lf, compose_functors(el.alpha, delta))
+    delta = orthogonal_lift(CommutingSquare(ef.j.s, el.j.t, el.j.s, ef.alpha))
+    out = copair(ef, el.lf, FinFunctor(delta.dom, el.e, delta.obj_map, delta.mor_map))
     validate_functor(out).require("split is not a functor")
     return out
 

@@ -869,6 +869,47 @@ def test_e_square_restricts_to_its_legs(corpus_sqs):
         )
 
 
+# `e_square` builds neither of its composite legs and glues straight onto
+# `j_square`'s tables; the copairing of the two composites is the
+# reference, on every corpus square and on the two squares each one gives
+# the naturality laws: its `mu`-naturality and its delta-naturality square.
+def test_e_square_is_the_copairing_of_its_composite_legs(corpus_sqs):
+    squares = []
+    for _, sq in corpus_sqs:
+        ef, eg, inner = e_object(sq.left), e_object(sq.right), e_square(sq)
+        squares += [
+            sq,
+            CommutingSquare(ef.rf, eg.rf, inner, sq.bottom),
+            CommutingSquare(ef.lf, eg.lf, sq.top, inner),
+        ]
+    assert len(squares) == 15327
+    for sq in squares:
+        eg = e_object(sq.right)
+        on_a, on_j = compose_functors(eg.lf, sq.top), compose_functors(eg.alpha, j_square(sq))
+        assert e_square(sq) == copair(e_object(sq.left), on_a, on_j)
+
+
+@pytest.mark.parametrize("moved", ["object", "identity"])
+def test_e_square_keeps_the_placement_check(monkeypatch, moved):
+    # A coslice image that moves the placed object (a, 1), or its identity,
+    # disagrees with Lg . top there, and `e_square` refuses to glue.
+    fun = identity_functor(CORPUS["interval"])
+    sq = CommutingSquare(fun, fun, identity_functor(fun.dom), identity_functor(fun.cod))
+    ef = e_object(fun)  # the square runs from fun to fun, so Ef is also Eg
+    x = ef.j.s.obj_map["0"]
+
+    def moving(sq):
+        out = j_square(sq)
+        other = next(y for y in ef.e.objects if y != out.obj_map[x])
+        if moved == "object":
+            return dataclasses.replace(out, obj_map={**out.obj_map, x: other})
+        return dataclasses.replace(out, mor_map={**out.mor_map, ef.j.j.identity[x]: ef.e.identity[other]})
+
+    monkeypatch.setattr(awfs, "j_square", moving)
+    with pytest.raises(ContractError, match="^copair legs disagree on placed objects$"):
+        e_square(sq)
+
+
 def test_mu_and_comultiplication_restrict_to_their_legs(corpus_funs):
     for _, f in corpus_funs:
         ef = e_object(f)
