@@ -28,16 +28,16 @@ copairing.  The projection Rf copairs the functors f and t, the coslice
 projection, so it is a functor and restricts to both; like Jf, Ef is
 built unchecked (`e_object`).  Each of the others has functor legs: E on
 squares (`e_square`) by the argument in `j_square`'s docstring, the
-collapse `mu` of one tower level and the split `comonad_data` that opens
-one by a check of their cached result, and the extension of a coslice
-algebra (`r_algebra_from_jr`) through `validate_jr_algebra`.  As alpha
-is the identity on ids, a coslice leg into Jg already names Eg's ids, so
-E on squares and the split build no composite with alpha.  Algebras
-for the monad R are again exactly delta lenses; the free one,
-`free_lens`, lifts along the projection Rf by the coslice morphisms.
-Coalgebras for the comonad L are the functors that lift squares into
-lenses: against a coalgebra (f, q) and a lens with algebra structure p,
-the diagonal of a square is p . E(top, bottom) . q
+collapse `mu` of one tower level by the one in `nu`'s, the split
+`comonad_data` as `orthogonal_lift` checks its coslice leg, and the
+extension of a coslice algebra (`r_algebra_from_jr`) through
+`validate_jr_algebra`.  As alpha is the identity on ids, a coslice leg
+into Jg already names Eg's ids, so E on squares and the split build no
+composite with alpha.  Algebras for the monad R are again exactly delta
+lenses; the free one, `free_lens`, lifts along the projection Rf by the
+coslice morphisms.  Coalgebras for the comonad L are the functors that
+lift squares into lenses: against a coalgebra (f, q) and a lens with
+algebra structure p, the diagonal of a square is p . E(top, bottom) . q
 (`lift_against_coalgebra`).
 """
 
@@ -293,25 +293,23 @@ def _glue(
 
 @memo_by_key
 def mu(f: FinFunctor) -> FinFunctor:
-    """Collapse one tower level: E(rf of f) -> Ef.  Its collapse leg is
-    checked nowhere else, so the result is checked to be a functor.  Rf
-    after it is R(rf of f): the two agree after L (R . L is the functor
-    factored, `EfPresentation`) and after alpha, where the collapse reads
-    v straight through."""
+    """Collapse one tower level: E(rf of f) -> Ef, unchecked: it copairs
+    the identity with `nu`'s collapse read in Ef, both functors, so it is
+    one (`copair`; `mu-functor` decides it).  Rf after it is R(rf of f):
+    the two agree after L (R . L is the functor factored, `EfPresentation`)
+    and after alpha, where the collapse reads v straight through."""
     ef = e_object(f)
     upper = e_object(ef.rf)
     on_j = FinFunctor(upper.j.j, ef.e, *_collapse(upper.j, ef.j))
-    out = copair(upper, identity_functor(ef.e), on_j)
-    validate_functor(out).require("collapse is not a functor")
-    return out
+    return copair(upper, identity_functor(ef.e), on_j)
 
 
 def validate_monad(
     f: FinFunctor, *, squares: tuple[CommutingSquare, ...] = ()
 ) -> ValidationReport:
     """Check the monad laws of `mu` at f, and its naturality on squares
-    out of f into other functors.  `mu` has already checked that its
-    result is a functor."""
+    out of f into other functors.  `mu-functor` decides that `mu`, built
+    unchecked, is a functor."""
     ef = e_object(f)
     upper = e_object(ef.rf)
     m = mu(f)
@@ -325,7 +323,8 @@ def validate_monad(
         return commutes(inner, m, mu(sq.right), outer)
 
     return _layered_report(
-        (("rf-after-mu", lambda: commutes(ef.rf, m, upper.rf)),),
+        (("mu-functor", lambda: validate_functor(m)),
+         ("rf-after-mu", lambda: commutes(ef.rf, m, upper.rf))),
         (
             ("mu-unit-left", lambda: commutes(m, upper.lf, one)),
             ("mu-unit-right", lambda: commutes(m, eta(), one)),
@@ -416,25 +415,24 @@ def comonad_data(f: FinFunctor) -> FinFunctor:
     """Split one tower level open: the comultiplication Ef -> E(lf of f),
     the copairing of L(lf of f) with the coslice map delta: Jf -> J(lf of
     f), found by orthogonal lifting and read as landing in E(lf of f), as
-    alpha is the identity on ids.  Only functoriality is checked: a
-    copairing restricts to L(lf of f) after Lf, and R(lf of f) after it
-    is the identity, as the two agree after Lf and after alpha (R . L is
-    the functor factored and R . alpha the coslice projection,
-    `EfPresentation`; `orthogonal_lift`)."""
+    alpha is the identity on ids.  It is unchecked, as delta is
+    `orthogonal_lift`'s checked output and a copairing of functors is a
+    functor (`copair`; `delta-functor` decides it).  It restricts to L(lf
+    of f) after Lf, and R(lf of f) after it is the identity, as the two
+    agree after Lf and after alpha (R . L is the functor factored and
+    R . alpha the coslice projection, `EfPresentation`)."""
     ef = e_object(f)
     el = e_object(ef.lf)
     delta = orthogonal_lift(CommutingSquare(ef.j.s, el.j.t, el.j.s, ef.alpha))
-    out = copair(ef, el.lf, FinFunctor(delta.dom, el.e, delta.obj_map, delta.mor_map))
-    validate_functor(out).require("split is not a functor")
-    return out
+    return copair(ef, el.lf, FinFunctor(delta.dom, el.e, delta.obj_map, delta.mor_map))
 
 
 def validate_comonad(
     f: FinFunctor, *, squares: tuple[CommutingSquare, ...] = ()
 ) -> ValidationReport:
     """Check the comonad laws of `comonad_data` at f, and its naturality
-    on squares out of f into other functors.  `comonad_data` has already
-    checked that its result is a functor."""
+    on squares out of f into other functors.  `delta-functor` decides
+    that `comonad_data`, built unchecked, is a functor."""
     ef = e_object(f)
     el = e_object(ef.lf)
     c = comonad_data(f)
@@ -448,7 +446,8 @@ def validate_comonad(
         return commutes(comonad_data(sq.right), inner, e_square(lifted), c)
 
     return _layered_report(
-        (("delta-square", lambda: commutes(c, ef.lf, el.lf)),),
+        (("delta-functor", lambda: validate_functor(c)),
+         ("delta-square", lambda: commutes(c, ef.lf, el.lf))),
         (
             ("counit-left", lambda: commutes(el.rf, c, one)),
             ("counit-right", lambda: commutes(counit(), c, one)),

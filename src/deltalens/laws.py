@@ -13,9 +13,9 @@ fails that case with the witness `("error", "<type>: <message>")` and
 the other cases still run.  A family does not re-check what the
 construction it calls already decides: `comprehensive_factorise`,
 `orthogonal_lift` and `free_lens` raise unless their results satisfy the
-laws their families name.  `j_object` and `e_object` check nothing, by
-the arguments in their docstrings; the `constructions` family decides
-those facts on the corpus and the tower inputs, categories first.
+laws their families name.  The cached constructions check nothing: the
+`constructions` family decides J(f) and E(f) on the corpus and the tower
+inputs, and each (co)monad validator that its structure map is a functor.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from deltalens.kernel import (
     FinFunctor,
     GuardExceededError,
     InputError,
-    InternalInvariantError,
     comma_to_object,
     commutes,
     compose_functors,
@@ -65,6 +64,7 @@ from deltalens.semimonad import (
     j_object,
     j_square,
     jr_from_lens,
+    nu,
     validate_jr_algebra,
     validate_semimonad,
 )
@@ -175,6 +175,19 @@ def test_monad_laws_on_sample(corpus_funs):
         assert validate_monad(fun).ok, name
 
 
+# alpha: J => R is a morphism of semi-monads; this is its multiplication
+# half: mu(f) . alpha_{Rf} . J(alpha_f) == alpha_f . nu(f) as functors
+# J(t of f) -> Ef, with J(alpha_f) the coslice image of alpha_f as a
+# square over the identity of the codomain.
+def test_alpha_carries_nu_to_mu(corpus_funs):
+    assert len(corpus_funs) == 125
+    for name, f in corpus_funs:
+        jf, ef = j_object(f), e_object(f)
+        j_alpha = j_square(CommutingSquare(jf.t, ef.rf, ef.alpha, identity_functor(f.cod)))
+        via_mu = compose_functors(mu(f), compose_functors(e_object(ef.rf).alpha, j_alpha))
+        assert via_mu == compose_functors(ef.alpha, nu(f)), name
+
+
 def _retarget_one_morphism(good):
     """One non-identity morphism sent to an identity, which breaks
     functoriality."""
@@ -189,13 +202,23 @@ def _retargeted_collapse(upper, base):
     return leg.obj_map, leg.mor_map
 
 
+# The witnesses of `nu-functor`, `mu-functor` and `delta-functor` on the
+# interval identity when the construction's leg is not a functor: the
+# first arrow whose image has the wrong source.
+NOT_A_FUNCTOR = {
+    "nu": ("nu-functor", "src-preservation", "(\\(0\\,1_0\\),1_0,u)"),
+    "mu": ("mu-functor", "src-preservation", "(\\(0\\,1_0\\),1_0,u)"),
+    "comonad_data": ("delta-functor", "src-preservation", "(0,1_0,u)"),
+}
+
+
 def test_corrupted_multiplication_is_reported(monkeypatch):
-    # mu checks its result, the copairing of the identity with the
-    # collapse leg, which nothing else checks.
+    # mu is built unchecked, the copairing of the identity with the
+    # collapse leg; validate_monad's first structure check names it.
     fun = identity_functor(CORPUS["interval"])
+    monkeypatch.setattr(awfs, "mu", mu.__wrapped__)
     monkeypatch.setattr(awfs, "_collapse", _retargeted_collapse)
-    with pytest.raises(InternalInvariantError, match="^collapse is not a functor: "):
-        mu.__wrapped__(fun)
+    assert validate_monad(fun).violations == (NOT_A_FUNCTOR["mu"],)
 
 
 def _constant(good):
@@ -238,33 +261,35 @@ def _retargeted_copair(*args):
     return _retarget_one_morphism(copair(*args))
 
 
+def _no_square(sq):
+    raise AssertionError("a square was checked against a structure map that is not a functor")
+
+
 @pytest.mark.parametrize(
-    "module, construction, validate, leg, corrupt, message",
+    "module, construction, validate, leg, corrupt, on_squares",
     [
-        (semimonad, "nu", validate_semimonad, "_collapse", _retargeted_collapse,
-         "^multiplication is not a functor: "),
-        (awfs, "mu", validate_monad, "_collapse", _retargeted_collapse,
-         "^collapse is not a functor: "),
-        (awfs, "comonad_data", validate_comonad, "copair", _retargeted_copair,
-         "^split is not a functor: "),
+        (semimonad, "nu", validate_semimonad, "_collapse", _retargeted_collapse, "j_square"),
+        (awfs, "mu", validate_monad, "_collapse", _retargeted_collapse, "e_square"),
+        (awfs, "comonad_data", validate_comonad, "copair", _retargeted_copair, "e_square"),
     ],
     ids=["not-a-functor-semimonad", "not-a-functor-monad", "not-a-functor-comonad"],
 )
 def test_naturality_is_checked_against_the_trusted_multiplication(
-    monkeypatch, corpus_sqs, module, construction, validate, leg, corrupt, message
+    monkeypatch, corpus_sqs, module, construction, validate, leg, corrupt, on_squares
 ):
     # The construction is the only multiplication the validator checks
-    # squares against, and it checks itself: built uncached with a leg that
-    # is not a functor, it stops the validator before any square is checked.
-    # The unpatched run warms every other construction the squares need.
+    # squares against, and the validator checks it first: built uncached
+    # with a leg that is not a functor, its functor check is the whole
+    # report, and no square reaches the construction on squares.  The
+    # unpatched run warms every other construction the check needs.
     fun = identity_functor(CORPUS["interval"])
     squares = tuple(sq for _, sq in corpus_sqs if sq.left.key == fun.key)
     assert squares
     assert validate(fun, squares=squares).ok
     monkeypatch.setattr(module, construction, getattr(module, construction).__wrapped__)
     monkeypatch.setattr(module, leg, corrupt)
-    with pytest.raises(InternalInvariantError, match=message):
-        validate(fun, squares=squares)
+    monkeypatch.setattr(module, on_squares, _no_square)
+    assert validate(fun, squares=squares).violations == (NOT_A_FUNCTOR[construction],)
 
 
 def _delta(f):
@@ -291,14 +316,15 @@ def test_comonad_laws_on_sample(corpus_funs):
 
 
 def test_corrupted_comultiplication_is_reported(monkeypatch):
-    # comonad_data checks its result, the copairing of L(lf) with delta.
-    # E(f) and E(lf of f), whose projections are copairings too, are
-    # built before copair is patched.
+    # comonad_data is built unchecked, the copairing of L(lf) with delta;
+    # validate_comonad's first structure check names it.  E(f) and
+    # E(lf of f), whose projections are copairings too, are built before
+    # copair is patched.
     fun = identity_functor(CORPUS["interval"])
     comonad_data(fun)
+    monkeypatch.setattr(awfs, "comonad_data", comonad_data.__wrapped__)
     monkeypatch.setattr(awfs, "copair", _retargeted_copair)
-    with pytest.raises(InternalInvariantError, match="^split is not a functor: "):
-        comonad_data.__wrapped__(fun)
+    assert validate_comonad(fun).violations == (NOT_A_FUNCTOR["comonad_data"],)
 
 
 def test_distributive_law_on_sample(corpus_funs):
@@ -822,6 +848,36 @@ def test_j_square_images_are_functors_over_the_bottom_leg(monkeypatch):
             out.obj_map[jf.s.obj_map[a]] == jg.s.obj_map[sq.top.obj_map[a]]
             for a in sq.left.dom.objects
         )
+
+
+# `nu`, `mu` and `comonad_data` do not check their results, by the
+# arguments in their docstrings, and each validator decides first that
+# its own structure map is a functor.  This test checks the result of
+# every argument they get in a full `laws` run, the iterated levels that
+# no validator is asked about included (`nu` at the coslice projection,
+# `mu` at rf and lf, the split at lf and rf).
+def test_structure_maps_of_a_laws_run_are_functors(monkeypatch):
+    seen: dict[str, dict] = {"nu": {}, "mu": {}, "comonad_data": {}}
+    real = {"nu": nu, "mu": mu, "comonad_data": comonad_data}
+
+    def recording(name):
+        def record(f):
+            seen[name].setdefault(f.key, f)
+            return real[name](f)
+
+        return record
+
+    for module, name in ((semimonad, "nu"), (awfs, "mu"), (laws, "mu"), (awfs, "comonad_data")):
+        monkeypatch.setattr(module, name, recording(name))
+    assert run_laws().ok
+    assert {name: len(args) for name, args in seen.items()} == {
+        "nu": 250,
+        "mu": 365,
+        "comonad_data": 365,
+    }
+    for name, args in seen.items():
+        for f in args.values():
+            assert validate_functor(real[name](f)).ok, name
 
 
 # `copair` does not check its result: from functor legs that agree on

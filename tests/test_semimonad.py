@@ -11,7 +11,6 @@ from deltalens.kernel import (
     ContractError,
     FinFunctor,
     GuardExceededError,
-    InternalInvariantError,
     compose_functors,
     counit_inclusion,
     identity_functor,
@@ -75,8 +74,9 @@ def test_semimonad_laws_on_sample(corpus_funs):
 
 
 def test_corrupted_multiplication_breaks_functor_layer(monkeypatch):
-    # nu checks its collapse, which nothing else checks: one non-identity
-    # sent to an identity breaks functoriality.
+    # nu is built unchecked: one non-identity of its collapse sent to an
+    # identity breaks functoriality, and validate_semimonad's first
+    # structure check names it as the whole report.
     fun = identity_functor(CORPUS["interval"])
     real = semimonad._collapse
 
@@ -85,9 +85,11 @@ def test_corrupted_multiplication_breaks_functor_layer(monkeypatch):
         k = next(m for m in mor_map if not upper.j.is_identity(m))
         return obj_map, {**mor_map, k: base.j.identity[base.j.tgt[mor_map[k]]]}
 
+    monkeypatch.setattr(semimonad, "nu", nu.__wrapped__)
     monkeypatch.setattr(semimonad, "_collapse", retargeted)
-    with pytest.raises(InternalInvariantError, match="^multiplication is not a functor: "):
-        nu.__wrapped__(fun)
+    assert validate_semimonad(fun).violations == (
+        ("nu-functor", "src-preservation", "(\\(0\\,1_0\\),1_0,u)"),
+    )
 
 
 def _deck_swap(fun):
