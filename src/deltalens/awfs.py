@@ -63,7 +63,7 @@ from .kernel import (
     tag,
     validate_functor,
 )
-from .factorization import CommutingSquare, orthogonal_lift
+from .factorization import CommutingSquare, _square_by_construction, orthogonal_lift
 from .lens import DeltaLens, LiftingTable, validate_lens
 from .semimonad import (
     JPresentation,
@@ -309,17 +309,19 @@ def validate_monad(
 ) -> ValidationReport:
     """Check the monad laws of `mu` at f, and its naturality on squares
     out of f into other functors.  `mu-functor` decides that `mu`, built
-    unchecked, is a functor."""
+    unchecked, is a functor, and `rf-after-mu` makes the associativity
+    law's square commute.  Each naturality square's outer square commutes
+    as `e_square`'s image commutes over the base."""
     ef = e_object(f)
     upper = e_object(ef.rf)
     m = mu(f)
     one = identity_functor(ef.e)
     eta = lambda: e_square(CommutingSquare(f, ef.rf, ef.lf, identity_functor(f.cod)))
-    collapse = lambda: e_square(CommutingSquare(upper.rf, ef.rf, m, identity_functor(f.cod)))
+    collapse = lambda: e_square(_square_by_construction(upper.rf, ef.rf, m, identity_functor(f.cod)))
 
     def natural(sq: CommutingSquare) -> bool:
         inner = e_square(sq)
-        outer = e_square(CommutingSquare(ef.rf, e_object(sq.right).rf, inner, sq.bottom))
+        outer = e_square(_square_by_construction(ef.rf, e_object(sq.right).rf, inner, sq.bottom))
         return commutes(inner, m, mu(sq.right), outer)
 
     return _layered_report(
@@ -355,9 +357,12 @@ class RAlgebra:
 
 
 def validate_r_algebra(alg: RAlgebra) -> ValidationReport:
+    """Check the algebra laws: strictness over the base, unit, and
+    compatibility with the multiplication, whose square commutes once
+    strictness holds."""
     f, p = alg.functor, alg.structure
     ef = e_object(f)
-    collapse = lambda: e_square(CommutingSquare(ef.rf, f, p, identity_functor(f.cod)))
+    collapse = lambda: e_square(_square_by_construction(ef.rf, f, p, identity_functor(f.cod)))
     return _layered_report(
         (
             ("structure-functor", lambda: validate_functor(p).ok),
@@ -432,17 +437,20 @@ def validate_comonad(
 ) -> ValidationReport:
     """Check the comonad laws of `comonad_data` at f, and its naturality
     on squares out of f into other functors.  `delta-functor` decides
-    that `comonad_data`, built unchecked, is a functor."""
+    that `comonad_data`, built unchecked, is a functor, and `delta-square`
+    makes the coassociativity law's split square commute.  Each naturality
+    square's lifted square commutes as `e_square`'s image restricts to
+    Lg . top."""
     ef = e_object(f)
     el = e_object(ef.lf)
     c = comonad_data(f)
     one = identity_functor(ef.e)
     counit = lambda: e_square(CommutingSquare(ef.lf, f, identity_functor(f.dom), ef.rf))
-    split = lambda: e_square(CommutingSquare(ef.lf, el.lf, identity_functor(f.dom), c))
+    split = lambda: e_square(_square_by_construction(ef.lf, el.lf, identity_functor(f.dom), c))
 
     def natural(sq: CommutingSquare) -> bool:
         inner = e_square(sq)
-        lifted = CommutingSquare(ef.lf, e_object(sq.right).lf, sq.top, inner)
+        lifted = _square_by_construction(ef.lf, e_object(sq.right).lf, sq.top, inner)
         return commutes(comonad_data(sq.right), inner, e_square(lifted), c)
 
     return _layered_report(
@@ -461,13 +469,14 @@ def validate_comonad(
 
 def validate_distributive_law(f: FinFunctor) -> ValidationReport:
     """Check that the split of a collapse agrees with the collapse of a
-    split, the one exchange law not already forced by the (co)monads."""
+    split, the one exchange law not already forced by the (co)monads; the
+    `square` check makes the exchange square commute."""
     ef = e_object(f)
     m = mu(f)
     c = comonad_data(f)
     erf = e_object(ef.rf)
     elf = e_object(ef.lf)
-    exchange = lambda: e_square(CommutingSquare(erf.lf, elf.rf, c, m))
+    exchange = lambda: e_square(_square_by_construction(erf.lf, elf.rf, c, m))
     return _layered_report(
         (("square", lambda: commutes(elf.rf, c, m, erf.lf)),),
         (("coherence", lambda: commutes(
@@ -505,7 +514,8 @@ def validate_l_coalgebra(coalg: LCoalgebra) -> ValidationReport:
     if not commutes(q, f, ef.lf):
         v.append(("unit-square",))
         return ValidationReport.from_violations(v)
-    coaction = CommutingSquare(f, ef.lf, identity_functor(f.dom), q)
+    # The coaction square commutes: the unit square just held.
+    coaction = _square_by_construction(f, ef.lf, identity_functor(f.dom), q)
     if not commutes(comonad_data(f), q, e_square(coaction), q):
         v.append(("comultiplication",))
     return ValidationReport.from_violations(v)

@@ -133,6 +133,20 @@ class CommutingSquare:
             raise InputError("square does not commute")
 
 
+def _square_by_construction(
+    left: FinFunctor, right: FinFunctor, top: FinFunctor, bottom: FinFunctor
+) -> CommutingSquare:
+    """The square of four functors whose boundaries and equation its caller
+    has just decided, or argues, made without deciding them again: a
+    structure check or a filter that runs `commutes` on these legs, or the
+    docstring of the construction that built one leg.  Every other square,
+    and every square from outside the package, is a checked `CommutingSquare`."""
+    sq = object.__new__(CommutingSquare)
+    for name, leg in (("left", left), ("right", right), ("top", top), ("bottom", bottom)):
+        object.__setattr__(sq, name, leg)  # as __init__ does: a __dict__ update costs a full dict
+    return sq
+
+
 @dataclass(frozen=True)
 class Factorisation:
     """An (initial, discrete opfibration) factorisation m after e through `mid`, m's domain."""

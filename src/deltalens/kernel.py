@@ -33,7 +33,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 
 class InputError(ValueError):
@@ -70,22 +70,28 @@ class _Key(tuple):
         return h
 
 
-def memo_by_key(build):
-    """Memoise a one-argument construction by its argument's `.key`.
+def memo_by_key(build=None, *, key: str = "key"):
+    """Memoise a one-argument construction by a key its argument caches,
+    `.key` unless `key` names another: `@memo_by_key(key="coslice_key")`.
 
-    Equal keys mean equal tables, so the first result is served to every
-    later call on an equal argument.  A key is hashed once, so each later
-    lookup costs a dict probe.  Results are shared between callers and must
-    not be mutated.  A call that raises caches nothing.
+    Equal keys mean equal results: a key holds everything the construction
+    reads of its argument, so the first result is served to every later
+    call on an argument with an equal key.  A key is hashed once, so each
+    later lookup costs a dict probe.  Results are shared between callers
+    and must not be mutated.  A call that raises caches nothing; the bare
+    construction stays reachable as `__wrapped__`.
     """
+    if build is None:
+        return lambda build: memo_by_key(build, key=key)
+    read = attrgetter(key)
     results: dict = {}
 
     @wraps(build)
     def cached(arg):
-        key = arg.key
-        out = results.get(key, _MISSING)
+        k = read(arg)
+        out = results.get(k, _MISSING)
         if out is _MISSING:
-            out = results[key] = build(arg)
+            out = results[k] = build(arg)
         return out
 
     return cached
@@ -307,6 +313,19 @@ class FinFunctor:
             self.cod.key,
             _table_key(self.obj_map),
             _table_key(self.mor_map),
+        ))
+
+    @cached_property
+    def coslice_key(self) -> tuple:
+        """What the coslice J(f) reads of f (`semimonad.j_object`): the domain's
+        objects and their identity ids, the object map on them and the
+        codomain's key, not the morphism map.  Hashed once, like `key`."""
+        A = self.dom
+        return _Key((
+            A.objects,
+            tuple(map(A.identity.__getitem__, A.objects)),
+            tuple(map(self.obj_map.__getitem__, A.objects)),
+            self.cod.key,
         ))
 
 

@@ -41,6 +41,7 @@ from .kernel import (
 )
 from .factorization import (
     CommutingSquare,
+    _square_by_construction,
     comprehensive_factorise,
     is_discrete_opfibration,
     is_initial,
@@ -152,7 +153,8 @@ def corpus_squares(
     fixtures all lie in the square sub-corpus.  A functor's corners are
     read off its categories, not its name, which a corpus file name may
     make ambiguous.  Tops and bottoms are corpus functors too, so a
-    fixture pair that `corpus_functors` skipped has none."""
+    fixture pair that `corpus_functors` skipped has none.  Each square is
+    made as the filter that decides its equation accepts it."""
     fixture_of = {
         scope.fixtures[name].key: name for name in SQUARE_FIXTURES if name in scope.fixtures
     }
@@ -178,9 +180,8 @@ def corpus_squares(
                     for h in tops:
                         for k in bottoms:
                             if commutes(g, h, k, f):
-                                out.append(
-                                    (f"{fname}=>{gname}#{n}", CommutingSquare(f, g, h, k))
-                                )
+                                sq = _square_by_construction(f, g, h, k)
+                                out.append((f"{fname}=>{gname}#{n}", sq))
                                 n += 1
     return out
 
@@ -321,7 +322,7 @@ def _free_lens_is_free(fun: FinFunctor, squares, lenses_on) -> bool:
             d = compose_functors(lens_to_r_algebra(l).structure, e_square(sq))
             if not (commutes(d, ef.lf, sq.top) and commutes(g, d, sq.bottom, ef.rf)):
                 return False
-            if not validate_lens_morphism(CommutingSquare(ef.rf, g, d, sq.bottom), free, l).ok:
+            if not validate_lens_morphism(_square_by_construction(ef.rf, g, d, sq.bottom), free, l).ok:
                 return False
     return True
 

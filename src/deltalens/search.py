@@ -18,7 +18,7 @@ from .kernel import (
     commutes,
     enumerate_functors,
 )
-from .factorization import CommutingSquare, is_discrete_opfibration
+from .factorization import CommutingSquare, _square_by_construction, is_discrete_opfibration
 from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
 from .semimonad import JrAlgebra, j_object, validate_jr_algebra
 from .awfs import LCoalgebra, RAlgebra, e_object, validate_l_coalgebra, validate_r_algebra
@@ -28,10 +28,10 @@ def enumerate_commuting_squares(
     f: FinFunctor, g: FinFunctor, guard: int = DEFAULT_GUARD
 ) -> list[CommutingSquare]:
     """All squares from f to g: pairs of a top and a bottom functor
-    making the two composites agree."""
+    making the two composites agree, which the filter decides."""
     tops = enumerate_functors(f.dom, g.dom, guard)
     bottoms = enumerate_functors(f.cod, g.cod, guard)
-    return [CommutingSquare(f, g, h, k) for h in tops for k in bottoms if commutes(g, h, k, f)]
+    return [_square_by_construction(f, g, h, k) for h in tops for k in bottoms if commutes(g, h, k, f)]
 
 
 def enumerate_lens_structures(

@@ -35,7 +35,7 @@ from .kernel import (
     tag,
     validate_functor,
 )
-from .factorization import CommutingSquare
+from .factorization import CommutingSquare, _square_by_construction
 from .lens import DeltaLens, LiftingTable, lens_pairs, validate_lens
 
 
@@ -61,13 +61,20 @@ class JPresentation:
         return self.t.dom
 
 
-@memo_by_key
+@memo_by_key(key="coslice_key")
 def j_object(f: FinFunctor) -> JPresentation:
     """Build (and cache) the coslice presentation of f, unchecked: Jf is the
     category of elements of an action (`kernel.elements`), s is a functor,
     initial as the one morphism into (a, u) from a placed object is u out of
     (a, 1), and t . s = f . counit as t sends (a, 1) to f a.  The
-    `constructions` law family checks this."""
+    `constructions` law family checks this.
+
+    It reads f only through the domain's objects and identity ids, the
+    object map and the codomain, and is cached on that (`coslice_key`), so
+    functors that differ only in their morphism maps share one presentation.
+    Among them are Rf and the coslice projection t of f: E(f) has J(f)'s
+    objects and identities, and Rf agrees with t on objects, so J(Rf) is
+    J(t)."""
     A, B = f.dom, f.cod
     over = {(a, u): B.tgt[u] for a in A.objects for u in B.out(f.obj_map[a])}
     extend = lambda p, v: (p[0], B.after[p[1]][v])
@@ -119,12 +126,13 @@ def _collapse(upper: JPresentation, base: JPresentation) -> tuple[dict, dict]:
     return obj_map, mor_map
 
 
-@memo_by_key
+@memo_by_key(key="coslice_key")
 def nu(f: FinFunctor) -> FinFunctor:
     """Collapse stacked extensions: the multiplication J(t of f) -> Jf over
     the base, unchecked: the arrow v at (x, u2), x = (a, u1), goes to the
     arrow v at (a, u2.u1), so, as in `j_square`, sources, targets,
-    identities and composites are kept (`nu-functor` decides it)."""
+    identities and composites are kept (`nu-functor` decides it).  It reads
+    only J(f) and J(t of f), so it is cached on `j_object`'s key."""
     base = j_object(f)
     upper = j_object(base.t)
     return FinFunctor(upper.j, base.j, *_collapse(upper, base))
@@ -175,15 +183,16 @@ def validate_semimonad(
     """Check the semi-monad laws of `nu` at f, and its naturality on
     squares out of f into other functors.  `nu-functor` decides that
     `nu`, built unchecked, is a functor, and `nu-over-base` makes the
-    associativity law's square commute."""
+    associativity law's square commute.  Each naturality square's outer
+    square commutes as `j_square`'s image lies over the bottom leg."""
     base = j_object(f)
     upper = j_object(base.t)
     n = nu(f)
-    collapse = lambda: j_square(CommutingSquare(upper.t, base.t, n, identity_functor(f.cod)))
+    collapse = lambda: j_square(_square_by_construction(upper.t, base.t, n, identity_functor(f.cod)))
 
     def natural(sq: CommutingSquare) -> bool:
         inner = j_square(sq)
-        outer = j_square(CommutingSquare(base.t, j_object(sq.right).t, inner, sq.bottom))
+        outer = j_square(_square_by_construction(base.t, j_object(sq.right).t, inner, sq.bottom))
         return commutes(inner, n, nu(sq.right), outer)
 
     return _layered_report(
@@ -220,7 +229,7 @@ def validate_jr_algebra(alg: JrAlgebra) -> ValidationReport:
     strictness holds."""
     f, p = alg.functor, alg.structure
     pres = j_object(f)
-    collapse = lambda: j_square(CommutingSquare(pres.t, f, p, identity_functor(f.cod)))
+    collapse = lambda: j_square(_square_by_construction(pres.t, f, p, identity_functor(f.cod)))
     return _layered_report(
         (
             ("structure-functor", lambda: validate_functor(p).ok),

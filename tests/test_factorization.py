@@ -2,7 +2,7 @@ import pytest
 
 from oracles import brute_force_diagonals, is_connected, is_isomorphism
 
-from deltalens import factorization, kernel, lens, semimonad
+from deltalens import awfs, factorization, kernel, laws, lens, search, semimonad
 from deltalens.awfs import comonad_data, e_object, mu
 from deltalens.fixtures import CORPUS
 from deltalens.factorization import (
@@ -20,6 +20,7 @@ from deltalens.kernel import (
     FinFunctor,
     InputError,
     comma_to_object,
+    commutes,
     compose_functors,
     counit_inclusion,
     identity_functor,
@@ -27,6 +28,7 @@ from deltalens.kernel import (
     validate_category,
     validate_functor,
 )
+from deltalens.laws import run_laws
 from deltalens.lens import lambda_presentation
 from deltalens.semimonad import j_object
 
@@ -94,6 +96,30 @@ def test_square_must_commute():
     )
     with pytest.raises(InputError):
         CommutingSquare(ident, ident, swap, ident)
+
+
+# `CommutingSquare` decides every square built from outside.  Inside, a
+# square whose equation a structure check or a filter has just decided,
+# or whose construction argues it (`j_square` and `e_square` images lie
+# over the bottom leg and restrict to Lg . top), is made unchecked by
+# `_square_by_construction`.  This test decides each one a full `laws`
+# run makes, as it is made.
+def test_squares_made_unchecked_in_a_laws_run_commute(monkeypatch):
+    real = factorization._square_by_construction
+    made, failed = [0], []
+
+    def record(left, right, top, bottom):
+        made[0] += 1
+        if not commutes(bottom, left, right, top):
+            failed.append(made[0])
+        return real(left, right, top, bottom)
+
+    for module in (factorization, semimonad, awfs, laws, search):
+        monkeypatch.setattr(module, "_square_by_construction", record)
+    result = run_laws()
+    assert not failed
+    assert made[0] == 24_076
+    assert result.ok
 
 
 def test_orthogonal_lift_requires_eligible_legs():

@@ -1,5 +1,6 @@
 import pytest
 
+from deltalens.awfs import e_object
 from deltalens.fixtures import CORPUS
 from deltalens.factorization import (
     CommutingSquare,
@@ -9,6 +10,7 @@ from deltalens.factorization import (
 from deltalens import semimonad
 from deltalens.kernel import (
     ContractError,
+    FinCat,
     FinFunctor,
     GuardExceededError,
     compose_functors,
@@ -56,6 +58,50 @@ def test_coslice_sizes_match_counting_formula(corpus_funs):
             for u in fun.cod.out(fun.obj_map[a]):
                 mors += len(fun.cod.out(fun.cod.tgt[u]))
         assert len(jp.j.morphisms) == mors, name
+
+
+# `j_object` and `nu` are cached on `coslice_key`, what J reads of a
+# functor: the domain's objects and identity ids, the object map and the
+# codomain.  R(f) agrees with t on all of it, so J(Rf) is J(t).
+def test_coslice_presentations_are_shared_by_rf_and_t(corpus_funs):
+    for name, f in corpus_funs:
+        ef = e_object(f)
+        shared = j_object(ef.rf)
+        assert shared is j_object(ef.j.t), name
+        assert shared == j_object.__wrapped__(ef.rf) == j_object.__wrapped__(ef.j.t), name
+        assert nu(f) == nu.__wrapped__(f), name
+
+
+def _renamed(c: FinCat, objects: dict, morphisms: dict) -> FinCat:
+    o, r = lambda x: objects.get(x, x), lambda m: morphisms.get(m, m)
+    return FinCat(
+        tuple(map(o, c.objects)),
+        tuple(map(r, c.morphisms)),
+        {r(m): o(x) for m, x in c.src.items()},
+        {r(m): o(x) for m, x in c.tgt.items()},
+        {o(x): r(m) for x, m in c.identity.items()},
+        {r(f): {r(g): r(gf) for g, gf in row.items()} for f, row in c.after.items()},
+    )
+
+
+def test_functors_that_j_reads_apart_get_their_own_presentations():
+    iv = CORPUS["interval"]
+    renamed = lambda objects, morphisms: _renamed(iv, objects, morphisms)
+    on_mor = {"1_0": "1_0", "1_1": "1_1", "u": "u"}
+    funs = {
+        "base": identity_functor(iv),
+        "codomain": FinFunctor(iv, renamed({}, {"u": "v"}), {"0": "0", "1": "1"}, dict(on_mor, u="v")),
+        "domain objects": FinFunctor(renamed({"0": "a", "1": "b"}, {}), iv, {"a": "0", "b": "1"}, on_mor),
+        "identity ids": FinFunctor(
+            renamed({}, {"1_0": "e0", "1_1": "e1"}), iv, {"0": "0", "1": "1"},
+            {"e0": "1_0", "e1": "1_1", "u": "u"},
+        ),
+    }
+    presentations = {name: j_object(f) for name, f in funs.items()}
+    for name, f in funs.items():
+        assert presentations[name] == j_object.__wrapped__(f), name
+    assert len({id(p) for p in presentations.values()}) == len(funs)
+    assert all(p != presentations["base"] for name, p in presentations.items() if name != "base")
 
 
 def test_coslice_legs_classify_and_compose(corpus_funs):
