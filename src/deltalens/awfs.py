@@ -18,7 +18,13 @@ the row of crossings entering along the same coslice morphism, by the
 domain morphism crossed and the target (`_glued_compose`): the middle
 retraction between two crossings cancels, and where their domain
 morphisms compose to an identity the row holds the coslice morphism
-that the composite collapses to.
+that the composite collapses to.  These rows of crossings are Ef's rule:
+a row of Ef's table is built the first time it is read (`FinCat.row`),
+so a large Ef that is only the codomain of copairings builds the few
+rows they read, and a reader of the whole table builds them all
+(`FinCat.after`).  Ef is keyed by its inputs, A, f's object map and
+the part of f's codomain it reads (`_reached_key`), not by a copy of
+its table.
 
 Ef is a pushout, so a functor out of it is fixed by its two
 restrictions, one to the domain and one to the coslice, and `copair`
@@ -43,6 +49,7 @@ algebra structure p, the diagonal of a square is p . E(top, bottom) . q
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +61,7 @@ from .kernel import (
     InternalInvariantError,
     ValidationReport,
     _lawful_by_construction,
+    _table_key,
     commutes,
     compose_functors,
     identity_functor,
@@ -127,7 +135,7 @@ def retraction_pairs(f: FinFunctor, a: str) -> list[tuple[str, str]]:
         (u1, v)
         for u1 in B.out(fa)
         for v in B.hom(B.tgt[u1], fa)
-        if B.after[u1][v] == one
+        if B.row(u1)[v] == one
     ]
 
 
@@ -138,7 +146,10 @@ def e_object(f: FinFunctor) -> EfPresentation:
     (`tests/oracles.py`) `_glued_compose` composes, so it is marked lawful;
     its legs Lf and alpha are functors that agree on placed objects.  Lf is
     initial: the crossing u . Lf(w) into (a, u) from (a2, 1) is joined by w
-    to the coslice u out of (a, 1).  The `constructions` family checks this."""
+    to the coslice u out of (a, 1).  The `constructions` family checks this.
+    e's rows are built as they are read, and e is keyed by what its tables
+    are read from: A, f's object map and `_reached_key`, not its morphism
+    map."""
     A, B = f.dom, f.cod
     jp = j_object(f)
     J, placed = jp.j, jp.s.obj_map
@@ -155,7 +166,8 @@ def e_object(f: FinFunctor) -> EfPresentation:
                 tgt[m] = jp.obj_id[(a2, u2)]
                 crossings.append((m, jp.mor_id[(a1, u1)][v], w, exit_))
     e = _lawful_by_construction(
-        FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), _glued_compose(jp, A, crossings)))
+        FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), _glued_compose(jp, A, crossings)),
+        ("E", A.key, tuple(map(f.obj_map.__getitem__, A.objects)), _reached_key(f)))
     # Lf(w) is the crossing through w that enters and leaves along identities.
     ids = J.identity_set
     lf_map = {w: m for m, enter, w, exit_ in crossings if enter in ids and exit_ in ids}
@@ -165,11 +177,28 @@ def e_object(f: FinFunctor) -> EfPresentation:
     return EfPresentation(f, jp, e, lf, alpha, tuple(crossings))
 
 
+def _reached_key(f: FinFunctor) -> tuple:
+    """A key of what J(f) and E(f) read of f's codomain B: the full
+    subcategory on the objects reached from f's image, the targets of the
+    morphisms out of it.  A B keyed by its construction gives its own key,
+    which holds all of B and copies no table; any other B gives the table
+    key of that subcategory, so codomains that differ only elsewhere give
+    one key."""
+    B = f.cod
+    key = B.__dict__.get("key")
+    if key is not None and isinstance(key[0], str):
+        return key
+    objects = tuple(sorted({B.tgt[u] for x in set(f.obj_map.values()) for u in B.out(x)}))
+    mors = tuple(sorted(m for x in objects for m in B.out(x)))
+    return (objects, mors, tuple(map(B.tgt.__getitem__, mors)),
+            tuple(map(B.identity.__getitem__, objects)), tuple(_table_key(B.row(m)) for m in mors))
+
+
 def _glued_compose(
     jp: JPresentation, A: FinCat, crossings: list[tuple[str, str, str, str]]
-) -> dict[str, dict[str, str]]:
-    """Ef's composition rows, by lookups in Jf's rows and in rows of
-    crossings.
+) -> Callable[[str], dict[str, str]]:
+    """Ef's composition rule, m -> the row of m, by lookups in Jf's rows
+    and in rows of crossings.
 
     rows[enter][w][y] is the crossing that enters along the coslice
     morphism `enter` into a placed object (a, 1), crosses through w and
@@ -182,38 +211,48 @@ def _glued_compose(
         through w2 to z                   middle retraction cancels,
       a coslice c, then a crossing of     is rows[enter2 . c][w2][z].
         row enter2 through w2 to z
+
+    These rows of crossings are built up front; a row of Ef is built from
+    them when it is read, and a coslice morphism that no crossing can
+    follow keeps Jf's row.  A's rows are read one at a time, so a glued A
+    builds only the rows of the w crossed.
     """
     J, placed, ids = jp.j, jp.s.obj_map, A.identity_set
-    ends = {x: [(c, J.tgt[c]) for c in J.out(x)] for x in J.objects}
+    j_row, a_row = J.row, A.row
     rows: dict[str, dict[str, dict[str, str]]] = {}
     for m, enter, w, exit_ in crossings:
         row = rows.get(enter)
         if row is None:
-            a, after_enter = A.src[w], J.after[enter]
-            collapse = {y: after_enter[c] for c, y in ends[placed[a]]}
+            a, after_enter = A.src[w], j_row(enter)
+            collapse = {J.tgt[c]: after_enter[c] for c in J.out(placed[a])}
             row = rows[enter] = {A.identity[a]: collapse}
         row.setdefault(w, {})[J.tgt[exit_]] = m
+    crossing = {c[0]: c for c in crossings}
     # leaving[x]: (enter, w, rows[enter][w]) for the crossings out of x
     leaving: dict[str, list[tuple[str, str, dict[str, str]]]] = {x: [] for x in J.objects}
     for enter, row in rows.items():
         leaving[J.src[enter]].extend((enter, w, to) for w, to in row.items() if w not in ids)
-    after = dict(J.after)  # Jf's rows, each copied only where a crossing can follow
-    for groups in leaving.values():
-        for enter, w, to in groups:
-            row, after_w = rows[enter], A.after[w]
-            for y, m1 in to.items():
-                out = after[m1] = {c: to[z] for c, z in ends[y]}
-                for _, w2, to2 in leaving[y]:
-                    through = row[after_w[w2]]
-                    out.update({m2: through[z] for z, m2 in to2.items()})
-    for c in J.morphisms:
-        if leaving[J.tgt[c]]:
-            after_c = J.after[c]
-            out = after[c] = dict(after_c)
-            for enter2, w2, to2 in leaving[J.tgt[c]]:
-                through = rows[after_c[enter2]][w2]
+
+    def row_of(m: str) -> dict[str, str]:
+        if m not in crossing:  # a coslice morphism, or no morphism at all
+            after_m = j_row(m)
+            if not (after_m and leaving[J.tgt[m]]):
+                return after_m
+            out = dict(after_m)
+            for enter2, w2, to2 in leaving[J.tgt[m]]:
+                through = rows[after_m[enter2]][w2]
                 out.update({m2: through[z] for z, m2 in to2.items()})
-    return after
+            return out
+        _, enter, w, exit_ = crossing[m]
+        row, after_w, y = rows[enter], a_row(w), J.tgt[exit_]
+        to = row[w]
+        out = {c: to[J.tgt[c]] for c in J.out(y)}
+        for _, w2, to2 in leaving[y]:
+            through = row[after_w[w2]]
+            out.update({m2: through[z] for z, m2 in to2.items()})
+        return out
+
+    return row_of
 
 
 def e_square(sq: CommutingSquare) -> FinFunctor:
@@ -281,10 +320,10 @@ def _glue(
         for a in A.objects
     ):
         raise ContractError("copair legs disagree on placed objects")
-    after, empty = X.after, {}  # a composite is None only if a leg is not a functor
+    row = X.row  # a composite is None only if a leg is not a functor
     for m, enter, w, exit_ in pres.crossings:
-        through = after.get(on_a_mor[w], empty).get(mor_map[exit_])
-        mor_map[m] = after.get(mor_map[enter], empty).get(through)
+        through = row(on_a_mor[w]).get(mor_map[exit_])
+        mor_map[m] = row(mor_map[enter]).get(through)
     return FinFunctor(pres.e, X, obj_map, mor_map)
 
 
@@ -310,13 +349,14 @@ def validate_monad(
     """Check the monad laws of `mu` at f, and its naturality on squares
     out of f into other functors.  `mu-functor` decides that `mu`, built
     unchecked, is a functor, and `rf-after-mu` makes the associativity
-    law's square commute.  Each naturality square's outer square commutes
+    law's square commute.  The unit's square commutes as rf . lf = f
+    (`EfPresentation`).  Each naturality square's outer square commutes
     as `e_square`'s image commutes over the base."""
     ef = e_object(f)
     upper = e_object(ef.rf)
     m = mu(f)
     one = identity_functor(ef.e)
-    eta = lambda: e_square(CommutingSquare(f, ef.rf, ef.lf, identity_functor(f.cod)))
+    eta = lambda: e_square(_square_by_construction(f, ef.rf, ef.lf, identity_functor(f.cod)))
     collapse = lambda: e_square(_square_by_construction(upper.rf, ef.rf, m, identity_functor(f.cod)))
 
     def natural(sq: CommutingSquare) -> bool:
@@ -425,10 +465,13 @@ def comonad_data(f: FinFunctor) -> FinFunctor:
     functor (`copair`; `delta-functor` decides it).  It restricts to L(lf
     of f) after Lf, and R(lf of f) after it is the identity, as the two
     agree after Lf and after alpha (R . L is the functor factored and
-    R . alpha the coslice projection, `EfPresentation`)."""
+    R . alpha the coslice projection, `EfPresentation`).  The square delta
+    fills is not checked either: the two triangles `orthogonal_lift`
+    checks, delta . s = s' and t' . delta = alpha for the legs s' and t'
+    of J(lf of f), make it commute, as t' . s' = t' . delta . s = alpha . s."""
     ef = e_object(f)
     el = e_object(ef.lf)
-    delta = orthogonal_lift(CommutingSquare(ef.j.s, el.j.t, el.j.s, ef.alpha))
+    delta = orthogonal_lift(_square_by_construction(ef.j.s, el.j.t, el.j.s, ef.alpha))
     return copair(ef, el.lf, FinFunctor(delta.dom, el.e, delta.obj_map, delta.mor_map))
 
 
@@ -438,14 +481,15 @@ def validate_comonad(
     """Check the comonad laws of `comonad_data` at f, and its naturality
     on squares out of f into other functors.  `delta-functor` decides
     that `comonad_data`, built unchecked, is a functor, and `delta-square`
-    makes the coassociativity law's split square commute.  Each naturality
+    makes the coassociativity law's split square commute.  The counit's
+    square commutes as rf . lf = f (`EfPresentation`).  Each naturality
     square's lifted square commutes as `e_square`'s image restricts to
     Lg . top."""
     ef = e_object(f)
     el = e_object(ef.lf)
     c = comonad_data(f)
     one = identity_functor(ef.e)
-    counit = lambda: e_square(CommutingSquare(ef.lf, f, identity_functor(f.dom), ef.rf))
+    counit = lambda: e_square(_square_by_construction(ef.lf, f, identity_functor(f.dom), ef.rf))
     split = lambda: e_square(_square_by_construction(ef.lf, el.lf, identity_functor(f.dom), c))
 
     def natural(sq: CommutingSquare) -> bool:

@@ -1,7 +1,8 @@
 """Command line surface.
 
 Subcommands: validate, factorise, jf, free-lens, lift, laws, enumerate,
-export-dot.  Exit codes: 0 success, 1 law failure, 2 input error.
+export-dot.  Exit codes: 0 success, 1 law failure, 2 input error or a
+`laws` run stopped by running out of memory or recursion depth.
 
 Every entry reference is resolved the same way, in this order:
 
@@ -291,6 +292,10 @@ def cmd_laws(args, ws: LawScope) -> int:
         )
     for pair in result.skipped:
         print(f"skipped (guard): {pair}")
+    if result.stopped:
+        print("suite: stopped")
+        print(f"error: out of resources in {result.stopped}", file=sys.stderr)
+        return 2
     if not result.cases:
         print("suite: nothing checked")
         return 1

@@ -45,6 +45,7 @@ def _roots(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
     """
     A, B = fun.dom, fun.cod
     parent = {(a, u): (a, u) for a in A.objects for u in B.out(fun.obj_map[a])}
+    b_row = B.row
 
     def find(p: tuple[str, str]) -> tuple[str, str]:
         while parent[p] != p:
@@ -55,7 +56,7 @@ def _roots(fun: FinFunctor) -> dict[tuple[str, str], tuple[str, str]]:
     for w in A.nonidentity:
         a, fw = A.src[w], fun.mor_map[w]
         for u2 in B.out(fun.obj_map[A.tgt[w]]):
-            r1, r2 = find((a, B.after[fw][u2])), find((A.tgt[w], u2))
+            r1, r2 = find((a, b_row(fw)[u2])), find((A.tgt[w], u2))
             if r1 != r2:
                 parent[r1] = r2
     return {p: find(p) for p in parent}
@@ -172,7 +173,8 @@ def comprehensive_factorise(fun: FinFunctor) -> Factorisation:
     rep_of = components(fun)
     rep_id = {p: tag(*p) for p, rep in rep_of.items() if p == rep}
     over = {rep: B.tgt[rep[1]] for rep in rep_id}
-    transport = lambda rep, v: rep_of[(rep[0], B.after[rep[1]][v])]  # the class of rep under v
+    b_row = B.row
+    transport = lambda rep, v: rep_of[(rep[0], b_row(rep[1])[v])]  # the class of rep under v
     name = lambda rep: tag(over[rep], rep_id[rep])
     m, obj_id, mor_id = elements(B, over, transport, name, lambda rep, v: tag(v, rep_id[rep]))
 

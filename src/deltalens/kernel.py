@@ -6,7 +6,11 @@ category as string-identifier tables, its composition as one row per
 source f mapping each g out of the target of f to g after f; the pair
 table (g, f) -> g after f is only a read-only view, and
 `rows_from_pairs` the one way in from it.  Constructions emit rows and
-readers walk them.  `FinFunctor` is a table-backed map between two
+readers walk them: `FinCat.row` reads one row and `FinCat.after` the
+whole table.  A construction may give a rule for its rows instead
+(`awfs.e_object`): a row is built on its first read by `row`, and every
+row on the first read of `after`, which every whole-table reader makes
+(`FinCat` lists them).  `FinFunctor` is a table-backed map between two
 categories.  `elements` builds the category of elements of an action on
 a set of points with its projection, a discrete opfibration; every
 discrete opfibration is one, and the coslice Jf, the middle of the
@@ -30,7 +34,7 @@ post-checks (`InternalInvariantError`).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from operator import attrgetter, itemgetter
@@ -150,6 +154,36 @@ class ValidationReport:
             raise InternalInvariantError(f"{message}: {self.first}")
 
 
+class _Rows(dict):
+    """Composition rows f -> {g: g after f}, read one at a time by `FinCat.row`:
+    a row that is not there is empty, unless a rule is given, which builds the
+    row on its first read; a row built is kept unless it is empty."""
+
+    __slots__ = ("rule",)
+
+    def __missing__(self, f: str) -> dict[str, str]:
+        out = None if self.rule is None else self.rule(f)
+        if not out:
+            return _EMPTY
+        self[f] = out
+        return out
+
+
+class _WholeTable:
+    """`FinCat.after` of a table given by a rule: the first read builds every
+    row not built yet and drops the rule; the rows are the table from then on."""
+
+    def __get__(self, c, owner=None):
+        if c is None:
+            raise AttributeError("after")  # so the dataclass field has no default
+        rows = c._rows
+        for f in c.morphisms:
+            rows[f]
+        rows.rule = None
+        c.__dict__["after"] = rows
+        return rows
+
+
 @dataclass(frozen=True, eq=True)
 class FinCat:
     """A finite category as identifier tables.
@@ -161,6 +195,13 @@ class FinCat:
     after       f -> {g: g after f}, defined exactly on the g out of tgt f;
                 empty rows are dropped, so equal tables have equal rows
 
+    `after` may instead be given as a rule, f -> the row of f, as a glued
+    category is (`awfs.e_object`).  Such a table builds a row the first time
+    `row` reads it, and builds every row when `after` is first read, which
+    every reader of the whole table does: `==`, `key` (unless the
+    construction keyed it), `compose`, `generators`, `validate_category`,
+    `validate_functor` on its domain and the JSON writer.
+
     Construction never validates; run `validate_category` to get a report.
     The dict fields are owned by the instance and must not be mutated.
     """
@@ -170,13 +211,24 @@ class FinCat:
     src: dict[str, str]
     tgt: dict[str, str]
     identity: dict[str, str]
-    after: dict[str, dict[str, str]]
+    after: dict[str, dict[str, str]] = _WholeTable()
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(sorted(self.objects)))
         object.__setattr__(self, "morphisms", tuple(sorted(self.morphisms)))
-        if not all(self.after.values()):
-            object.__setattr__(self, "after", {f: row for f, row in self.after.items() if row})
+        rows = self.__dict__["_rows"] = _Rows()
+        if callable(self.after):
+            rows.rule = self.__dict__.pop("after")
+        else:
+            rows.rule, after = None, self.after
+            rows.update(after if all(after.values()) else ((f, r) for f, r in after.items() if r))
+            object.__setattr__(self, "after", rows)
+
+    @property
+    def row(self) -> Callable[[str], dict[str, str]]:
+        """f -> the row of f, {g: g after f}, empty if f has none (or is no
+        morphism); a table given by a rule builds a row on its first read."""
+        return self._rows.__getitem__
 
     @property
     def compose(self) -> Mapping[tuple[str, str], str]:
@@ -222,14 +274,15 @@ class FinCat:
     def composite(self, g: str, f: str) -> str:
         """g after f; raises InputError on a non-composable pair."""
         try:
-            return self.after.get(f, _EMPTY)[g]
+            return self._rows[f][g]
         except KeyError:
             raise InputError(f"morphisms not composable: ({g}, {f})") from None
 
     @cached_property
     def key(self) -> tuple:
         """Canonical hashable form, used as a cache key for derived data; hashed
-        once, so each later lookup costs a dict probe."""
+        once, so each later lookup costs a dict probe.  A construction may key
+        its result by its inputs instead (`_lawful_by_construction`)."""
         sources = tuple(sorted(self.after))
         return _Key((
             self.objects,
@@ -366,7 +419,12 @@ def rows_from_pairs(entries) -> dict[str, dict[str, str]]:
 
 
 def same_cat(a: FinCat, b: FinCat) -> bool:
-    return a is b or a == b
+    """a == b, decided without reading the tables when both already hold equal
+    keys: equal keys mean equal tables."""
+    if a is b:
+        return True
+    key = a.__dict__.get("key")
+    return (key is not None and key == b.__dict__.get("key")) or a == b
 
 
 def same_functor(f: FinFunctor, g: FinFunctor) -> bool:
@@ -564,9 +622,9 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
     if not v and dom.lawful and cod.lawful:
         if _preserves_composition(dom, cod, mor_map, dom.generators):
             return ValidationReport(True, ())
-    mor, cod_after = mor_map.get, cod.after  # a pair with an unknown id is reported too
+    mor, cod_row = mor_map.get, cod.row  # a pair with an unknown id is reported too
     bad = [(g, f) for f, row in dom.after.items() for g, gf in row.items()
-           if (img := cod_after.get(mor(f), _EMPTY).get(mor(g))) is None or img != mor(gf)]
+           if (img := cod_row(mor(f)).get(mor(g))) is None or img != mor(gf)]
     v.extend(("composition-preservation", *pair) for pair in sorted(bad))
     return ValidationReport.from_violations(v)
 
@@ -574,9 +632,15 @@ def validate_functor(fun: FinFunctor) -> ValidationReport:
 # -- constructions ----------------------------------------------------------
 
 
-def _lawful_by_construction(c: FinCat) -> FinCat:
-    """c, marked lawful by a construction whose docstring argues it is a category."""
+def _lawful_by_construction(c: FinCat, key: tuple | None = None) -> FinCat:
+    """c, marked lawful by a construction whose docstring argues it is a category,
+    and keyed by `key` if given.  Such a key starts with the construction's name
+    and holds the keys of everything c's tables are read from, so equal keys
+    still mean equal tables, and it never equals a table key, whose first
+    entry is a tuple."""
     c.__dict__["lawful"] = True
+    if key is not None:
+        c.__dict__["key"] = _Key(key)
     return c
 
 
@@ -607,11 +671,11 @@ def elements(base: FinCat, over: dict, act, obj_name, mor_name) -> tuple[FinFunc
     The `constructions` law family and the tests check what callers build."""
     obj_id = {p: obj_name(p) for p in over}
     mor_id = {p: {v: mor_name(p, v) for v in base.out(b)} for p, b in over.items()}
-    src, tgt, after = {}, {}, {}
+    src, tgt, after, base_row = {}, {}, {}, base.row
     for p, row in mor_id.items():
         for v1, m1 in row.items():
             q = act(p, v1)
-            src[m1], tgt[m1], after_v1 = obj_id[p], obj_id[q], base.after[v1]
+            src[m1], tgt[m1], after_v1 = obj_id[p], obj_id[q], base_row(v1)
             after[m1] = {m2: row[after_v1[v2]] for v2, m2 in mor_id[q].items()}
     identity = {obj_id[p]: mor_id[p][base.identity[b]] for p, b in over.items()}
     cat = _lawful_by_construction(
@@ -656,7 +720,7 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
             if B.tgt[u2] != b:
                 continue
             m = mor_id[(w, u2)] = tag(w, u2)
-            src[m] = obj_id[(a, B.after[fw][u2])]
+            src[m] = obj_id[(a, B.row(fw)[u2])]
             tgt[m] = obj_id[(a2, u2)]
             mor_parts[m] = (w, u2)
     identity = {o: mor_id[(A.identity[a], u)] for (a, u), o in obj_id.items()}
@@ -666,7 +730,7 @@ def comma_to_object(fun: FinFunctor, b: str) -> FinCat:
         out_of[src[m]].append(m)
     after: dict[str, dict[str, str]] = {}
     for m1 in morphisms:
-        after_w1 = A.after[mor_parts[m1][0]]
+        after_w1 = A.row(mor_parts[m1][0])
         row = after[m1] = {}
         for m2 in out_of[tgt[m1]]:
             w2, u3 = mor_parts[m2]
@@ -719,13 +783,13 @@ def _preserves_composition(dom: FinCat, cod: FinCat, mor: dict[str, str], gens) 
     """Whether a typed, identity-preserving mor keeps each g.f, for g in gens
     or, if None, every pair.  When dom and cod are categories dom's generators
     suffice: the g that pass hold the identities and are closed under composition."""
-    into, src, dom_after, cod_after = dom.by_tgt, dom.src, dom.after, cod.after
+    into, src, dom_after, cod_row = dom.by_tgt, dom.src, dom.after, cod.row
     if gens is None:
-        return all(cod_after.get(mor[f], _EMPTY).get(mor[g]) == mor[gf]
+        return all(cod_row(mor[f]).get(mor[g]) == mor[gf]
                    for f, row in dom_after.items() for g, gf in row.items())
     for g in gens:
         mg = mor[g]
         for f in into[src[g]]:
-            if cod_after.get(mor[f], _EMPTY).get(mg) != mor[dom_after[f][g]]:
+            if cod_row(mor[f]).get(mg) != mor[dom_after[f][g]]:
                 return False
     return True

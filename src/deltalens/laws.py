@@ -10,7 +10,9 @@ are reported sorted.
 Every family runs its cases through `_guarded_cases`: an exception
 raised inside one case, a broken construction invariant included,
 fails that case with the witness `("error", "<type>: <message>")` and
-the other cases still run.  A family does not re-check what the
+the other cases still run.  Running out of memory or of recursion depth
+is no verdict on a law: it stops the run at that case, which the result
+names (`LawSuiteResult.stopped`).  A family does not re-check what the
 construction it calls already decides: `comprehensive_factorise`,
 `orthogonal_lift` and `free_lens` raise unless their results satisfy the
 laws their families name.  The cached constructions check nothing: the
@@ -119,11 +121,12 @@ class LawCase:
 class LawSuiteResult:
     cases: tuple[LawCase, ...]
     skipped: tuple[str, ...] = ()
+    stopped: str = ""  # "<family> <subject>: <error>" if a resource error ended the run
 
     @property
     def ok(self) -> bool:
-        """True when at least one case ran and every case passed."""
-        return bool(self.cases) and all(c.ok for c in self.cases)
+        """True when the run finished, at least one case ran and every case passed."""
+        return not self.stopped and bool(self.cases) and all(c.ok for c in self.cases)
 
     @property
     def failures(self) -> tuple[LawCase, ...]:
@@ -210,14 +213,21 @@ def corpus_lenses(
     return out
 
 
+class _Stopped(Exception):
+    """A case ran out of memory or of recursion depth."""
+
+
 def _guarded_cases(family: str, items, check) -> list[LawCase]:
     """One case per named item, from `check(item)`: a verdict or a
     `ValidationReport`.  An exception it raises becomes a failing case
-    whose witness names the error."""
+    whose witness names the error, except a `MemoryError` or a
+    `RecursionError`, which stops the run (`_Stopped`)."""
     cases = []
     for name, item in items:
         try:
             out = check(item)
+        except (MemoryError, RecursionError) as exc:
+            raise _Stopped(f"{family} {name}: {type(exc).__name__}") from None
         except Exception as exc:
             out = ValidationReport.from_violations([("error", f"{type(exc).__name__}: {exc}")])
         if isinstance(out, ValidationReport):
@@ -253,6 +263,7 @@ def _constructions_report(f: FinFunctor) -> ValidationReport:
             ("lf-functor", lambda: validate_functor(ef.lf).ok),
             ("alpha-functor", lambda: validate_functor(ef.alpha).ok),
             ("rf-functor", lambda: validate_functor(ef.rf).ok),
+            ("rf-after-lf", lambda: commutes(ef.rf, ef.lf, f)),
             ("alpha-after-s", lambda: commutes(ef.alpha, jp.s, ef.lf, iota)),
             ("lf-initial", lambda: is_initial(ef.lf)),
         ),
@@ -430,7 +441,11 @@ def run_laws(
     if seed is not None:
         random.Random(seed).shuffle(order)
     cases: list[LawCase] = []
-    for fam in order:
-        cases.extend(builders[fam]())
+    stopped = ""
+    try:
+        for fam in order:
+            cases.extend(builders[fam]())
+    except _Stopped as exc:
+        stopped = str(exc)
     cases.sort(key=lambda c: (c.family, c.subject))
-    return LawSuiteResult(tuple(cases), tuple(skipped))
+    return LawSuiteResult(tuple(cases), tuple(skipped), stopped)

@@ -103,9 +103,10 @@ def validate_lens(l: DeltaLens) -> ValidationReport:
             v.append(("L2", a))
     for (a, u) in sorted(wanted):
         p = A.tgt[l.lift(a, u)]
+        after_u, after_lift = B.row(u), A.row(l.lift(a, u))
         for w in B.out(B.tgt[u]):
-            lhs = l.lift(a, B.after[u][w])
-            rhs = A.after[l.lift(a, u)][l.lift(p, w)]
+            lhs = l.lift(a, after_u[w])
+            rhs = after_lift[l.lift(p, w)]
             if lhs != rhs:
                 v.append(("L3", a, u, w))
     return ValidationReport.from_violations(v)

@@ -77,7 +77,8 @@ def j_object(f: FinFunctor) -> JPresentation:
     J(t)."""
     A, B = f.dom, f.cod
     over = {(a, u): B.tgt[u] for a in A.objects for u in B.out(f.obj_map[a])}
-    extend = lambda p, v: (p[0], B.after[p[1]][v])
+    b_row = B.row
+    extend = lambda p, v: (p[0], b_row(p[1])[v])
     t, obj_id, mor_id = elements(B, over, extend, lambda p: tag(*p), lambda p, v: tag(*p, v))
     j = t.dom
     s_obj = {a: obj_id[(a, B.identity[f.obj_map[a]])] for a in A.objects}
@@ -113,12 +114,12 @@ def j_square(sq: CommutingSquare) -> FinFunctor:
 def _collapse(upper: JPresentation, base: JPresentation) -> tuple[dict, dict]:
     """Object and morphism maps of a multiplication: a stacked extension
     (x, u2) of x = (a, u1) in `base` goes to the extension (a, u2.u1)."""
-    B = base.t.cod
+    b_row = base.t.cod.row
     pair_of = {x: p for p, x in base.obj_id.items()}
     obj_map, mor_map = {}, {}
     for p, row in upper.mor_id.items():
         a, u1 = pair_of[p[0]]
-        onto = (a, B.after[u1][p[1]])
+        onto = (a, b_row(u1)[p[1]])
         obj_map[upper.obj_id[p]] = base.obj_id[onto]
         image = base.mor_id[onto]
         for v, m2 in row.items():

@@ -9,7 +9,9 @@ composes any two reached morphisms until nothing is new, connectivity
 walks the underlying graph, an isomorphism is a functor bijective on
 objects and on morphisms, and the morphisms of the glued category are
 listed as normal forms, from the functor alone, and composed by working
-the composite out from their parts.
+the composite out from their parts.  The glued category's rows are also
+built eagerly, every row at once, as the package built them before it
+built each row on first read.
 """
 
 from __future__ import annotations
@@ -389,3 +391,41 @@ def compose_ef(f: FinFunctor, m2: EfMorphism, m1: EfMorphism) -> EfMorphism:
     if isinstance(m2, EfKindII):
         return _kind1(f, m1.u1, m1.v, m1.w, B.compose[(m2.v, m1.u2)])
     return _kind1(f, m1.u1, m1.v, f.dom.compose[(m2.w, m1.w)], m2.u2)
+
+
+def glued_rows_eagerly(ef) -> dict[str, dict[str, str]]:
+    """Every composition row of the glued category of `ef`, an
+    `EfPresentation`, built at once from its coslice presentation and
+    crossings, by the case analysis of `awfs._glued_compose`; empty rows
+    are left out, as `FinCat` drops them."""
+    jp, A = ef.j, ef.functor.dom
+    J, placed, ids = jp.j, jp.s.obj_map, A.identity_set
+    ends = {x: [(c, J.tgt[c]) for c in J.out(x)] for x in J.objects}
+    rows: dict[str, dict[str, dict[str, str]]] = {}
+    for m, enter, w, exit_ in ef.crossings:
+        row = rows.get(enter)
+        if row is None:
+            a, after_enter = A.src[w], J.after[enter]
+            collapse = {y: after_enter[c] for c, y in ends[placed[a]]}
+            row = rows[enter] = {A.identity[a]: collapse}
+        row.setdefault(w, {})[J.tgt[exit_]] = m
+    leaving: dict[str, list] = {x: [] for x in J.objects}
+    for enter, row in rows.items():
+        leaving[J.src[enter]].extend((enter, w, to) for w, to in row.items() if w not in ids)
+    after = dict(J.after)
+    for groups in leaving.values():
+        for enter, w, to in groups:
+            row, after_w = rows[enter], A.after[w]
+            for y, m1 in to.items():
+                out = after[m1] = {c: to[z] for c, z in ends[y]}
+                for _, w2, to2 in leaving[y]:
+                    through = row[after_w[w2]]
+                    out.update({m2: through[z] for z, m2 in to2.items()})
+    for c in J.morphisms:
+        if leaving[J.tgt[c]]:
+            after_c = J.after[c]
+            out = after[c] = dict(after_c)
+            for enter2, w2, to2 in leaving[J.tgt[c]]:
+                through = rows[after_c[enter2]][w2]
+                out.update({m2: through[z] for z, m2 in to2.items()})
+    return {m: row for m, row in after.items() if row}

@@ -6,10 +6,17 @@ computations live in oracles.py; nothing here trusts the construction
 it is checking.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
 from oracles import brute_force_diagonals, compare_pushout
 
+import deltalens
 from deltalens.factorization import (
     comprehensive_factorise,
     is_discrete_opfibration,
@@ -196,3 +203,51 @@ def test_criterion_9_free_lens():
     elapsed = time.monotonic() - t0
     assert elapsed < 5
     print(f"criterion 9: PASS (E(interval) has 3 objects and 5 morphisms, {elapsed:.1f}s)")
+
+
+# The distributive law on the identity of the cyclic group Z/n, a category
+# with one object, is checked in a child process capped at 1 GB of address
+# space, which prints its wall time, its peak RSS and the verdict.  The peak
+# is VmHWM where Linux reports it: `ru_maxrss` keeps, across exec, the peak
+# of the process that started the child, here the test runner.
+_CYCLIC = """
+import json, re, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from deltalens.awfs import validate_distributive_law
+from deltalens.kernel import FinCat, identity_functor
+n = int(sys.argv[1])
+ms = tuple(map(str, range(n)))
+z = FinCat(("*",), ms, dict.fromkeys(ms, "*"), dict.fromkeys(ms, "*"), {"*": "0"},
+           {f: {g: str((int(g) + int(f)) % n) for g in ms} for f in ms})
+t0 = time.perf_counter()
+ok = validate_distributive_law(identity_functor(z)).ok
+wall = time.perf_counter() - t0
+try:
+    mb = int(re.search(r"VmHWM:\\s*(\\d+)", open("/proc/self/status").read())[1]) / 1024
+except OSError:
+    mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"ok": ok, "wall_s": wall, "peak_rss_mb": mb}))
+"""
+
+
+def _cyclic_distributive_law(n: int) -> dict:
+    path = [str(Path(deltalens.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CYCLIC, str(n)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("n, wall_s, peak_rss_mb", [(3, 0.5, 60), (4, None, None)])
+def test_distributive_law_on_a_cyclic_group_within_budget(n, wall_s, peak_rss_mb):
+    # Z/3's depth-3 glued categories have 19,683 morphisms each and Z/4's
+    # 262,144; the check reads a few rows of each.
+    run = _cyclic_distributive_law(n)
+    assert run["ok"]
+    if wall_s is not None:
+        assert run["wall_s"] < wall_s
+        assert run["peak_rss_mb"] < peak_rss_mb
+    print(f"Z/{n} distributive law: ok in {run['wall_s']:.2f}s at {run['peak_rss_mb']:.0f} MB")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -14,6 +15,7 @@ from oracles import (
     compose_ef,
     ef_kinds,
     ef_mor_id,
+    glued_rows_eagerly,
 )
 
 from deltalens.fixtures import CORPUS
@@ -352,21 +354,134 @@ def _relabelled(fun: FinFunctor, prefix: str) -> FinFunctor:
     )
 
 
+def _glued_subjects(corpus_funs, scope) -> list[tuple[str, FinFunctor]]:
+    """The corpus functors with the projection and the domain inclusion of
+    their glued categories, and the tower inputs with those legs and the
+    legs' own legs."""
+
+    def with_legs(name, f):
+        ef = e_object(f)
+        return [(name, f), (f"rf {name}", ef.rf), (f"lf {name}", ef.lf)]
+
+    out = [leg for name, f in corpus_funs for leg in with_legs(name, f)]
+    for name, f in laws._tower_inputs(scope):
+        out += [leg for n, g in with_legs(name, f) for leg in with_legs(n, g)]
+    return out
+
+
+def test_glued_rows_read_one_at_a_time_or_whole_equal_the_eager_build(corpus_funs, scope):
+    # A fresh E(f) has built no row.  Every other row is read first, then
+    # the whole table, which builds the rest; both equal the rows built at
+    # once, and the rows read first are the ones the table keeps.
+    for name, f in _glued_subjects(corpus_funs, scope):
+        ef = e_object.__wrapped__(f)
+        e, eager = ef.e, glued_rows_eagerly(ef)
+        assert "after" not in vars(e), name
+        first = {m: e.row(m) for m in e.morphisms[::2]}
+        assert first == {m: eager.get(m, {}) for m in first}, name
+        assert e.after == eager, name
+        assert all(e.after[m] is row for m, row in first.items() if row), name
+        assert e.row("no-such-morphism") == {}, name
+
+
+# The rows of every table are a dict subclass whose one override,
+# `__missing__`, builds a glued row on its first read through `FinCat.row`.
+# `after` is handed out only once every row is built, so every method of
+# dict that reads, and the C fast paths of `dict(...)`, `{**...}` and
+# `json`, see the same rows as on the table built at once.
+_NOT_READS = {  # writes, which no table takes, comparisons dict leaves to
+    # others, and class-level attributes
+    "__delitem__", "__ior__", "__setitem__", "clear", "pop", "popitem", "setdefault", "update",
+    "__ge__", "__gt__", "__le__", "__lt__",
+    "__class_getitem__", "__doc__", "__getattribute__", "__hash__", "__init__", "__new__",
+    "__sizeof__", "fromkeys",
+}
+
+
+def test_no_dict_method_sees_a_glued_row_missing(corpus_funs):
+    ef = e_object.__wrapped__(dict(corpus_funs)["walking-iso->walking-iso#1"])
+    e, eager = ef.e, glued_rows_eagerly(ef)
+    ms = list(e.morphisms)
+    reads = {
+        "__contains__": lambda t: [m in t for m in ms],
+        "__eq__": lambda t: t == eager,
+        "__getitem__": lambda t: [t[m] for m in ms],
+        "__iter__": sorted,
+        "__len__": len,
+        "__ne__": lambda t: t != eager,
+        "__or__": lambda t: t | {},
+        "__repr__": lambda t: sorted(repr(t)),
+        "__reversed__": lambda t: sorted(reversed(t)),
+        "__ror__": lambda t: {} | t,
+        "copy": lambda t: t.copy(),
+        "get": lambda t: [t.get(m) for m in ms],
+        "items": lambda t: sorted(t.items()),
+        "keys": lambda t: sorted(t.keys()),
+        "values": lambda t: sorted(json.dumps(row, sort_keys=True) for row in t.values()),
+    }
+    assert set(vars(dict)) == set(reads) | _NOT_READS
+    reads.update({
+        "dict(...)": dict,
+        "{**...}": lambda t: {**t},
+        "json": lambda t: json.dumps(t, sort_keys=True),
+    })
+    for m in ms[::3]:
+        e.row(m)
+    for name, read in reads.items():
+        assert read(e.after) == read(eager), name
+    assert e.row("no-such-morphism") == {} and "no-such-morphism" not in e.after
+
+
+def test_equal_construction_keys_mean_equal_tables(corpus_funs, scope):
+    # E(f) is keyed by A, the object map and the part of the codomain
+    # reached from its image, so functors that differ only in their
+    # morphism maps, or in their codomains away from the image, get
+    # distinct glued categories under one key; their tables must be equal.
+    by_key: dict[tuple, dict[int, tuple[str, FinCat]]] = {}
+    for name, f in _glued_subjects(corpus_funs, scope):
+        e = e_object(f).e
+        objects = tuple(map(f.obj_map.__getitem__, f.dom.objects))
+        assert vars(e)["key"] == ("E", f.dom.key, objects, awfs._reached_key(f)), name
+        by_key.setdefault(e.key, {})[id(e)] = (name, e)
+    shared = [list(es.values()) for es in by_key.values() if len(es) > 1]
+    for (first, e0), *rest in shared:
+        for name, e in rest:
+            assert e == e0, (first, name)
+    assert (len(by_key), len(shared)) == (315, 30)
+
+
+def test_glued_keys_read_the_codomain_only_where_it_is_reached():
+    # The object 1 picked in `interval` and in `parallel-pair` reaches only
+    # its identity, so the two glued categories share a key and a table;
+    # the one object picked in `idempotent-monoid` and in Z/2 on the same
+    # ids reaches the same morphisms, composed apart, so their keys differ.
+    term, im = CORPUS["terminal"], CORPUS["idempotent-monoid"]
+    z2 = dataclasses.replace(im, after={"1_*": {"1_*": "1_*", "e": "e"}, "e": {"1_*": "e", "e": "1_*"}})
+    point = lambda c, x: FinFunctor(term, c, {"*": x}, {"1_*": c.identity[x]})
+    at_1 = [e_object(point(CORPUS[name], "1")).e for name in ("interval", "parallel-pair")]
+    assert at_1[0] is not at_1[1] and at_1[0].key == at_1[1].key and at_1[0] == at_1[1]
+    monoids = [e_object(point(c, "*")).e for c in (im, z2)]
+    assert monoids[0].key != monoids[1].key and monoids[0] != monoids[1]
+
+
 def test_verifying_a_tower_copies_no_table_into_a_key(corpus_funs):
     # Initiality and discrete opfibrations are decided on the tables, so
-    # building and verifying J(f) and E(f) leaves their categories without
-    # a cache key; only a construction cached on a functor out of or into
-    # a category keys it (Ef, once e_object(rf) is built).
+    # building and verifying J(f) leaves its category without a cache key;
+    # only a construction cached on a functor out of or into a category
+    # keys it.  E(f) is keyed by its inputs when it is built, and a glued
+    # input enters the key by its own key, not by its table.
     wi = CORPUS["walking-iso"]
     f = _relabelled(dict(corpus_funs)["walking-iso->walking-iso#1"], "fresh.")
     assert f.dom == f.cod != wi
     ef = e_object(f)
-    assert "key" not in vars(ef.e)
+    assert vars(ef.e)["key"][:2] == ("E", f.dom.key)
     assert "key" not in vars(ef.j.j)
     assert validate_distributive_law(f).ok
-    leaf = e_object(e_object(ef.lf).rf)
+    el = e_object(ef.lf)
+    leaf = e_object(el.rf)
     assert "key" not in vars(ef.j.j)
-    assert "key" not in vars(leaf.e)
+    assert vars(el.e)["key"][3] is vars(ef.e)["key"]
+    assert vars(leaf.e)["key"][:2] == ("E", el.e.key)
     assert "key" not in vars(leaf.j.j)
 
 
@@ -667,6 +782,23 @@ def test_a_wrong_base_image_fails_the_projection_check(monkeypatch, corpus_funs)
     assert _constructions_case(monkeypatch, f).witness == (("rf-functor",),)
 
 
+def test_a_projection_that_forgets_the_functor_fails_the_constructions_case(monkeypatch):
+    # Rf is replaced by the constant functor at one object of the base: a
+    # functor, so only rf . lf = f, which the unit and counit squares of
+    # the (co)monad validators are made on unchecked, names it.
+    real = awfs.copair
+
+    def constant(pres, on_a, on_j):
+        out = real(pres, on_a, on_j)
+        if on_a is not pres.functor:
+            return out
+        B, x = out.cod, out.cod.objects[0]
+        return FinFunctor(out.dom, B, dict.fromkeys(out.obj_map, x), dict.fromkeys(out.mor_map, B.identity[x]))
+
+    monkeypatch.setattr(awfs, "copair", constant)
+    assert _constructions_case(monkeypatch, identity_functor(CORPUS["interval"])).witness == (("rf-after-lf",),)
+
+
 def _wrong_composite(monkeypatch):
     """Replace one entry of the rows that `e_object` builds for the identity
     on walking-iso by its first factor, which has the wrong target."""
@@ -674,9 +806,9 @@ def _wrong_composite(monkeypatch):
     real = awfs._glued_compose
 
     def wrong(*args):
-        after = real(*args)
-        assert after[f][g] == "(0,f,1_1)"
-        return {**after, f: {**after[f], g: f}}
+        row_of = real(*args)
+        assert row_of(f)[g] == "(0,f,1_1)"
+        return lambda m: {**row_of(m), g: f} if m == f else row_of(m)
 
     monkeypatch.setattr(awfs, "_glued_compose", wrong)
 
@@ -837,7 +969,7 @@ def test_j_square_images_are_functors_over_the_bottom_leg(monkeypatch):
     monkeypatch.setattr(semimonad, "j_square", recording)
     monkeypatch.setattr(awfs, "j_square", recording)
     assert run_laws(families=("semimonad", "lens-algebra")).ok
-    assert len(seen) == 6269
+    assert len(seen) == 6281
     # The associativity and multiplication squares run from J(g)'s projection to g.
     assert sum(sq.left.key == j_object(sq.right).t.key for sq in seen.values()) == 80
     for sq in seen.values():
@@ -871,7 +1003,7 @@ def test_structure_maps_of_a_laws_run_are_functors(monkeypatch):
         monkeypatch.setattr(module, name, recording(name))
     assert run_laws().ok
     assert {name: len(args) for name, args in seen.items()} == {
-        "nu": 250,
+        "nu": 284,
         "mu": 365,
         "comonad_data": 365,
     }

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import deltalens
+from deltalens import laws
 from deltalens.cli import cmd_laws, main
 from deltalens.fixtures import CORPUS
 from deltalens.kernel import DEFAULT_GUARD, identity_functor
@@ -197,6 +198,21 @@ def test_laws_reports_broken_corpus_entries(tmp_path, capsys):
     assert "FAIL fixtures junk" in out
     assert "FAIL fixtures lawless" in out
     assert "missing-composite" in out
+
+
+def test_laws_over_a_corpus_stops_when_a_check_runs_out_of_memory(tmp_path, capsys, monkeypatch):
+    # The fixtures family validates the corpus file's category among the
+    # builtins; the first category it reaches raises MemoryError.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    assert run(["jf", "id:terminal", "--out", str(corpus / "extra.json")], capsys)[0] == 0
+
+    def out_of_memory(c):
+        raise MemoryError
+
+    monkeypatch.setattr(laws, "validate_category", out_of_memory)
+    code, out, err = run(["--corpus", str(corpus), "laws", "--families", "fixtures"], capsys)
+    assert (code, out, err) == (2, "suite: stopped\n", "error: out of resources in fixtures discrete-pair: MemoryError\n")
 
 
 def test_corpus_names_that_look_like_functor_names_do_not_crash_the_squares(tmp_path, capsys):

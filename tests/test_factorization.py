@@ -103,10 +103,17 @@ def test_square_must_commute():
 # or whose construction argues it (`j_square` and `e_square` images lie
 # over the bottom leg and restrict to Lg . top), is made unchecked by
 # `_square_by_construction`.  This test decides each one a full `laws`
-# run makes, as it is made.
+# run makes, as it is made, and counts the checked squares, of which the
+# run makes none.  `comonad_data` makes one square per build, so it gets
+# an empty cache.
 def test_squares_made_unchecked_in_a_laws_run_commute(monkeypatch):
     real = factorization._square_by_construction
-    made, failed = [0], []
+    made, failed, checked = [0], [], [0]
+    real_check = CommutingSquare.__post_init__
+
+    def check(sq):
+        checked[0] += 1
+        real_check(sq)
 
     def record(left, right, top, bottom):
         made[0] += 1
@@ -116,9 +123,11 @@ def test_squares_made_unchecked_in_a_laws_run_commute(monkeypatch):
 
     for module in (factorization, semimonad, awfs, laws, search):
         monkeypatch.setattr(module, "_square_by_construction", record)
+    monkeypatch.setattr(CommutingSquare, "__post_init__", check)
+    monkeypatch.setattr(awfs, "comonad_data", kernel.memo_by_key(comonad_data.__wrapped__))
     result = run_laws()
     assert not failed
-    assert made[0] == 24_076
+    assert (made[0], checked[0]) == (24_707, 0)
     assert result.ok
 
 

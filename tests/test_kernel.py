@@ -346,18 +346,21 @@ def test_generators_generate(corpus_funs, pinned_depth_3):
 def test_rows_and_pair_view_are_one_table(corpus_funs, pinned_depth_3):
     # The view counts the composable pairs; a table read back from pairs or
     # from JSON, or given a stray empty row, has equal rows and an equal key;
-    # and one changed composite changes both.
+    # and one changed composite changes both.  A glued category is keyed by
+    # its construction, so its table's key is that of a plain copy.
     for name, c in _tower_subjects(corpus_funs, pinned_depth_3):
         assert len(c.compose) == sum(len(c.out(c.tgt[f])) for f in c.morphisms), name
+        plain = dataclasses.replace(c)
+        assert plain.key == c.key or c.key[0] == "E", name
         rebuilt = dataclasses.replace(c, after=rows_from_pairs(dict(c.compose).items()))
         loaded = category_from_json(category_to_json(c))
         padded = dataclasses.replace(c, after={**c.after, "no-such-morphism": {}})
         for again in (rebuilt, loaded, padded):
-            assert again == c and again.key == c.key, name
+            assert again == c and again.key == plain.key, name
         (g, f), gf = max(c.compose.items())
         other = next((m for m in c.morphisms if m != gf), gf + "*")
         changed = dataclasses.replace(c, after={**c.after, f: {**c.after[f], g: other}})
-        assert changed != c and changed.key != c.key, name
+        assert changed != c and changed.key != plain.key, name
 
 
 def _codiscrete(n: int, name) -> FinCat:
@@ -394,7 +397,9 @@ def test_generators_meet_a_missing_composite():
 @given(st.data())
 def test_keys_are_canonical(corpus_funs, data):
     if data.draw(st.booleans()):
-        old = _assoc_subject(data.draw(st.sampled_from(sorted(CORPUS) + ["depth-2"])))
+        # A copy: the glued depth-2 subject is keyed by its construction,
+        # its copy by its table.
+        old = dataclasses.replace(_assoc_subject(data.draw(st.sampled_from(sorted(CORPUS) + ["depth-2"]))))
         field = data.draw(st.sampled_from(("src", "tgt", "identity", "compose")))
     else:
         kind = data.draw(st.sampled_from(("corpus", "lf-depth-2")))

@@ -106,14 +106,15 @@ def test_every_family_name_runs():
     assert set(FAMILIES) >= fams
 
 
-def _raising_once(real):
-    """`real`, except that its first call raises a broken invariant."""
+def _raising_once(real, error=InternalInvariantError("injected")):
+    """`real`, except that its first call raises `error`, a broken invariant
+    unless another is given."""
     raised = []
 
     def patched(*args, **kwargs):
         if not raised:
             raised.append(True)
-            raise InternalInvariantError("injected")
+            raise error
         return real(*args, **kwargs)
 
     return patched
@@ -155,6 +156,25 @@ def test_each_family_fails_only_the_case_that_raised(monkeypatch, family, valida
     result = run_laws(scope, families=(family,))
     assert len(result.cases) > 1
     assert [c.witness for c in result.failures] == [(("error", "InternalInvariantError: injected"),)]
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_running_out_of_resources_stops_the_run(monkeypatch, capsys, corpus_funs, error):
+    # Running out is no verdict on the law, so no case fails: the run stops
+    # at the case, is not ok, and `laws` exits 2, as on bad input.
+    real = laws.validate_monad
+    monkeypatch.setattr(laws, "validate_monad", _raising_once(real, error()))
+    result = run_laws(families=("fixtures", "monad"))
+    assert (result.ok, result.failures, result.stopped) == (
+        False, (), f"monad {corpus_funs[0][0]}: {error.__name__}"
+    )
+    assert {c.family for c in result.cases} == {"fixtures"}
+
+    monkeypatch.setattr(laws, "validate_monad", _raising_once(real, error()))
+    assert main(["laws", "--families", "fixtures,monad"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"fixtures: {len(CORPUS)} cases, 0 failures", "suite: stopped"]
+    assert err == f"error: out of resources in {result.stopped}\n"
 
 
 def test_witness_names_the_exception_type():
