@@ -99,12 +99,15 @@ class EfPresentation:
                `tag("I", u1, v, w, u2)` per row of `crossings` (the
                normal forms they stand for are kept in `tests/oracles.py`)
     lf         domain -> e, initial (not bijective on objects in general)
-    alpha      coslice -> e, the identity on identifiers; e has the
-               coslice's objects, and their pairs (a, u) are the keys of
-               `j.obj_id`
     crossings  (m, enter, w, exit) for each crossing m: the coslice
                morphisms it enters and leaves along, and the non-identity
                domain morphism w it crosses through
+    alpha      coslice -> e, the identity on identifiers, built on first
+               read; e has the coslice's objects and shares its `identity`
+               table, and their pairs (a, u) are the keys of `j.obj_id`
+
+    e's rows, like the coslice's (`kernel.elements`), are built as read
+    from tables fixed at build, so each equals the row built up front.
 
     The projection `rf`, e -> codomain with f = rf . lf, is a copairing
     like every other functor out of e made from other functors: of the
@@ -118,12 +121,16 @@ class EfPresentation:
     j: JPresentation
     e: FinCat
     lf: FinFunctor
-    alpha: FinFunctor
     crossings: tuple[tuple[str, str, str, str], ...]
 
     @cached_property
     def rf(self) -> FinFunctor:
         return copair(self, self.functor, self.j.t)
+
+    @cached_property
+    def alpha(self) -> FinFunctor:
+        J = self.j.j
+        return FinFunctor(J, self.e, {x: x for x in J.objects}, {m: m for m in J.morphisms})
 
 
 def retraction_pairs(f: FinFunctor, a: str) -> list[tuple[str, str]]:
@@ -147,9 +154,11 @@ def e_object(f: FinFunctor) -> EfPresentation:
     its legs Lf and alpha are functors that agree on placed objects.  Lf is
     initial: the crossing u . Lf(w) into (a, u) from (a2, 1) is joined by w
     to the coslice u out of (a, 1).  The `constructions` family checks this.
-    e's rows are built as they are read, and e is keyed by what its tables
-    are read from: A, f's object map and `_reached_key`, not its morphism
-    map."""
+    e's rows are built as read, by `_glued_compose` from tables fixed here,
+    so each equals the row built up front (`tests/oracles.py`).  e shares
+    Jf's `identity` table, as it has Jf's objects and identities, alpha is
+    built on first read, and e is keyed by what its tables are read from:
+    A, f's object map and `_reached_key`, not its morphism map."""
     A, B = f.dom, f.cod
     jp = j_object(f)
     J, placed = jp.j, jp.s.obj_map
@@ -166,15 +175,14 @@ def e_object(f: FinFunctor) -> EfPresentation:
                 tgt[m] = jp.obj_id[(a2, u2)]
                 crossings.append((m, jp.mor_id[(a1, u1)][v], w, exit_))
     e = _lawful_by_construction(
-        FinCat(J.objects, tuple(src), src, tgt, dict(J.identity), _glued_compose(jp, A, crossings)),
+        FinCat(J.objects, tuple(src), src, tgt, J.identity, _glued_compose(jp, A, crossings)),
         ("E", A.key, tuple(map(f.obj_map.__getitem__, A.objects)), _reached_key(f)))
     # Lf(w) is the crossing through w that enters and leaves along identities.
     ids = J.identity_set
     lf_map = {w: m for m, enter, w, exit_ in crossings if enter in ids and exit_ in ids}
     lf_map.update({A.identity[a]: J.identity[placed[a]] for a in A.objects})
     lf = FinFunctor(A, e, dict(placed), lf_map)
-    alpha = FinFunctor(J, e, {x: x for x in J.objects}, {m: m for m in J.morphisms})
-    return EfPresentation(f, jp, e, lf, alpha, tuple(crossings))
+    return EfPresentation(f, jp, e, lf, tuple(crossings))
 
 
 def _reached_key(f: FinFunctor) -> tuple:

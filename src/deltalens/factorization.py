@@ -107,7 +107,7 @@ def is_initial(fun: FinFunctor) -> bool:
     return len(classes) == len(over) == len(fun.cod.objects)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommutingSquare:
     """A commuting square of functors.
 
@@ -144,7 +144,7 @@ def _square_by_construction(
     and every square from outside the package, is a checked `CommutingSquare`."""
     sq = object.__new__(CommutingSquare)
     for name, leg in (("left", left), ("right", right), ("top", top), ("bottom", bottom)):
-        object.__setattr__(sq, name, leg)  # as __init__ does: a __dict__ update costs a full dict
+        object.__setattr__(sq, name, leg)  # as __init__ does, into the square's four slots
     return sq
 
 

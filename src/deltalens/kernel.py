@@ -8,12 +8,12 @@ table (g, f) -> g after f is only a read-only view, and
 `rows_from_pairs` the one way in from it.  Constructions emit rows and
 readers walk them: `FinCat.row` reads one row and `FinCat.after` the
 whole table.  A construction may give a rule for its rows instead
-(`awfs.e_object`): a row is built on its first read by `row`, and every
-row on the first read of `after`, which every whole-table reader makes
-(`FinCat` lists them).  `FinFunctor` is a table-backed map between two
-categories.  `elements` builds the category of elements of an action on
-a set of points with its projection, a discrete opfibration; every
-discrete opfibration is one, and the coslice Jf, the middle of the
+(`elements`, `awfs.e_object`): a row is built on its first read by `row`,
+and every row on the first read of `after`, which every whole-table
+reader makes (`FinCat` lists them).  `FinFunctor` is a table-backed map
+between two categories.  `elements` builds the category of elements of an
+action on a set of points with its projection, a discrete opfibration;
+every discrete opfibration is one, and the coslice Jf, the middle of the
 comprehensive factorisation and a lens's lambda presentation are built by it.
 Equality is identifier equality throughout, values are immutable after
 construction, and every enumeration walks identifiers in sorted order,
@@ -195,12 +195,14 @@ class FinCat:
     after       f -> {g: g after f}, defined exactly on the g out of tgt f;
                 empty rows are dropped, so equal tables have equal rows
 
-    `after` may instead be given as a rule, f -> the row of f, as a glued
-    category is (`awfs.e_object`).  Such a table builds a row the first time
-    `row` reads it, and builds every row when `after` is first read, which
-    every reader of the whole table does: `==`, `key` (unless the
-    construction keyed it), `compose`, `generators`, `validate_category`,
-    `validate_functor` on its domain and the JSON writer.
+    `after` may instead be given as a rule, f -> the row of f, as a category
+    of elements (`elements`) and a glued category (`awfs.e_object`) are.
+    Such a table builds a row the first time `row` reads it, and builds
+    every row when `after` is first read, which every reader of the whole
+    table does: `==`, `key` (unless the construction keyed it), `compose`,
+    `generators`, `validate_category`, `validate_functor` on its domain and
+    the JSON writer.  A rule reads only tables fixed when it is given, so a
+    row it builds equals the row built up front, whenever it is read.
 
     Construction never validates; run `validate_category` to get a report.
     The dict fields are owned by the instance and must not be mutated.
@@ -668,19 +670,31 @@ def elements(base: FinCat, over: dict, act, obj_name, mor_name) -> tuple[FinFunc
     act an action (act(p, v) over the target of v, act(p, 1) = p and
     act(act(p, v1), v2) = act(p, v2.v1)), (p, v2.v1) runs from p to the
     target of (act(p, v1), v2), and units and associativity are base's.
-    The `constructions` law family and the tests check what callers build."""
+    The `constructions` law family and the tests check what callers build.
+
+    The rows are a rule (`FinCat`), built as read: the row of m1 = (p, v1)
+    is {(q, v2): (p, v2.v1)} for q = act(p, v1), read from the projection's
+    morphism map (m1 -> v1), base's row of v1 and the rows of mor_id at p
+    and q, found by their object ids src m1 and tgt m1.  A build of every
+    row up front reads the same, so its rows are equal (`tests/oracles.py`)."""
     obj_id = {p: obj_name(p) for p in over}
     mor_id = {p: {v: mor_name(p, v) for v in base.out(b)} for p, b in over.items()}
-    src, tgt, after, base_row = {}, {}, {}, base.row
+    src, tgt, on_mor = {}, {}, {}
     for p, row in mor_id.items():
         for v1, m1 in row.items():
-            q = act(p, v1)
-            src[m1], tgt[m1], after_v1 = obj_id[p], obj_id[q], base_row(v1)
-            after[m1] = {m2: row[after_v1[v2]] for v2, m2 in mor_id[q].items()}
+            src[m1], tgt[m1], on_mor[m1] = obj_id[p], obj_id[act(p, v1)], v1
+    out_of, base_row = {obj_id[p]: row for p, row in mor_id.items()}, base.row
+
+    def row_of(m1: str) -> dict[str, str] | None:
+        v1 = on_mor.get(m1)
+        if v1 is None:  # no morphism
+            return None
+        row, after_v1 = out_of[src[m1]], base_row(v1)
+        return {m2: row[after_v1[v2]] for v2, m2 in out_of[tgt[m1]].items()}
+
     identity = {obj_id[p]: mor_id[p][base.identity[b]] for p, b in over.items()}
     cat = _lawful_by_construction(
-        FinCat(tuple(obj_id.values()), tuple(src), src, tgt, identity, after))
-    on_mor = {m: v for row in mor_id.values() for v, m in row.items()}
+        FinCat(tuple(obj_id.values()), tuple(src), src, tgt, identity, row_of))
     return FinFunctor(cat, base, {obj_id[p]: b for p, b in over.items()}, on_mor), obj_id, mor_id
 
 

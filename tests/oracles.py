@@ -11,7 +11,8 @@ objects and on morphisms, and the morphisms of the glued category are
 listed as normal forms, from the functor alone, and composed by working
 the composite out from their parts.  The glued category's rows are also
 built eagerly, every row at once, as the package built them before it
-built each row on first read.
+built each row on first read, and so are a category of elements' rows,
+from its projection alone.
 """
 
 from __future__ import annotations
@@ -429,3 +430,17 @@ def glued_rows_eagerly(ef) -> dict[str, dict[str, str]]:
                 through = rows[after_c[enter2]][w2]
                 out.update({m2: through[z] for z, m2 in to2.items()})
     return {m: row for m, row in after.items() if row}
+
+
+def elements_rows_eagerly(projection: FinFunctor) -> dict[str, dict[str, str]]:
+    """Every composition row of a category of elements, the domain of the
+    `projection` that `kernel.elements` returns, built at once from the
+    projection and the base's table alone: the projection is a discrete
+    opfibration, so m2 after m1 is the one morphism out of the source of
+    m1 that lies over t(m2) . t(m1)."""
+    c, t, base_after = projection.dom, projection.mor_map, projection.cod.after
+    lift = {(c.src[m], t[m]): m for m in c.morphisms}
+    return {
+        m1: {m2: lift[(c.src[m1], base_after[t[m1]][t[m2]])] for m2 in c.out(c.tgt[m1])}
+        for m1 in c.morphisms
+    }

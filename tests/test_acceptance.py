@@ -207,14 +207,17 @@ def test_criterion_9_free_lens():
 
 # The distributive law on the identity of the cyclic group Z/n, a category
 # with one object, is checked in a child process capped at 1 GB of address
-# space, which prints its wall time, its peak RSS and the verdict.  The peak
-# is VmHWM where Linux reports it: `ru_maxrss` keeps, across exec, the peak
-# of the process that started the child, here the test runner.
+# space, which prints its wall time, its peak RSS, the verdict, and the
+# rows built of every coslice J(f) and glued E(f) table it holds, as
+# [rows built, morphisms] summed over the tables of each kind.  The peak is
+# VmHWM where Linux reports it: `ru_maxrss` keeps, across exec, the peak of
+# the process that started the child, here the test runner.
 _CYCLIC = """
-import json, re, resource, sys, time
+import gc, json, re, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-from deltalens.awfs import validate_distributive_law
+from deltalens.awfs import EfPresentation, validate_distributive_law
 from deltalens.kernel import FinCat, identity_functor
+from deltalens.semimonad import JPresentation
 n = int(sys.argv[1])
 ms = tuple(map(str, range(n)))
 z = FinCat(("*",), ms, dict.fromkeys(ms, "*"), dict.fromkeys(ms, "*"), {"*": "0"},
@@ -226,7 +229,16 @@ try:
     mb = int(re.search(r"VmHWM:\\s*(\\d+)", open("/proc/self/status").read())[1]) / 1024
 except OSError:
     mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"ok": ok, "wall_s": wall, "peak_rss_mb": mb}))
+gc.collect()
+tables = {"coslice_rows": {}, "glued_rows": {}}
+for o in gc.get_objects():
+    if isinstance(o, JPresentation):
+        tables["coslice_rows"][id(o.j)] = o.j
+    elif isinstance(o, EfPresentation):
+        tables["glued_rows"][id(o.e)] = o.e
+rows = {kind: [sum(len(c._rows) for c in cs.values()), sum(len(c.morphisms) for c in cs.values())]
+        for kind, cs in tables.items()}
+print(json.dumps({"ok": ok, "wall_s": wall, "peak_rss_mb": mb, **rows}))
 """
 
 
@@ -241,6 +253,14 @@ def _cyclic_distributive_law(n: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# [rows built, morphisms] of the coslice and the glued tables, pinned as
+# they are deterministic where time and RSS are not.  Building every
+# coslice row up front gives Z/3 3,033 coslice rows and 597 glued rows, as
+# the eager J(f) of a functor into a glued category reads a base row per
+# morphism.
+_ROWS_BUILT = {3: ([297, 3033], [501, 39879]), 4: ([896, 20816], [1772, 526400])}
+
+
 @pytest.mark.parametrize("n, wall_s, peak_rss_mb", [(3, 0.5, 60), (4, None, None)])
 def test_distributive_law_on_a_cyclic_group_within_budget(n, wall_s, peak_rss_mb):
     # Z/3's depth-3 glued categories have 19,683 morphisms each and Z/4's
@@ -250,4 +270,5 @@ def test_distributive_law_on_a_cyclic_group_within_budget(n, wall_s, peak_rss_mb
     if wall_s is not None:
         assert run["wall_s"] < wall_s
         assert run["peak_rss_mb"] < peak_rss_mb
+    assert (run["coslice_rows"], run["glued_rows"]) == _ROWS_BUILT[n]
     print(f"Z/{n} distributive law: ok in {run['wall_s']:.2f}s at {run['peak_rss_mb']:.0f} MB")

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_force_diagonals, is_connected, is_isomorphism
+from oracles import brute_force_diagonals, elements_rows_eagerly, is_connected, is_isomorphism
 
 from deltalens import awfs, factorization, kernel, laws, lens, search, semimonad
 from deltalens.awfs import comonad_data, e_object, mu
@@ -262,3 +262,38 @@ def test_each_category_of_elements_lifts_along_its_rows(monkeypatch, corpus_funs
         assert opfibration_lifts(projection) == {
             (obj_id[p], v): m for p, row in mor_id.items() for v, m in row.items()
         }
+
+
+def test_elements_rows_read_one_at_a_time_or_whole_equal_the_eager_build(
+    monkeypatch, corpus_funs, corpus_lens_list, scope
+):
+    # Each category of elements is checked as `kernel.elements` returns it,
+    # before its builder reads it: a fresh table has built no row.  Every
+    # other row is read first, then the whole table, which builds the rest;
+    # both equal the rows built at once from the projection, and the rows
+    # read first are the ones the table keeps.
+    checked, subject = [], [None]
+
+    def checking(*args):
+        out = kernel.elements(*args)
+        c, eager = out[0].dom, elements_rows_eagerly(out[0])
+        assert "after" not in vars(c), subject[0]
+        first = {m: c.row(m) for m in c.morphisms[::2]}
+        assert first == {m: eager[m] for m in first}, subject[0]
+        assert c.after == eager, subject[0]
+        assert all(c.after[m] is row for m, row in first.items()), subject[0]
+        assert c.row("no-such-morphism") == {}, subject[0]
+        checked.append(c)
+        return out
+
+    for module in (semimonad, factorization, lens):
+        monkeypatch.setattr(module, "elements", checking)
+    towers = laws._tower_inputs(scope)
+    for subject[0], f in corpus_funs + towers:
+        j_object.__wrapped__(j_object.__wrapped__(f).t)  # J(f), then J(t of f)
+    for subject[0], f in corpus_funs:
+        comprehensive_factorise(f)
+    for subject[0], l in corpus_lens_list:
+        lambda_presentation(l)
+    assert (len(corpus_funs), len(towers), len(corpus_lens_list)) == (125, 8, 46)
+    assert len(checked) == 2 * (125 + 8) + 125 + 46
