@@ -119,6 +119,25 @@ def test_semimonad_laws_on_sample(corpus_funs):
         assert validate_semimonad(fun).ok, name
 
 
+def test_corrupted_multiplication_breaks_functor_layer(monkeypatch):
+    # nu is built unchecked: one non-identity of its collapse sent to an
+    # identity breaks functoriality, and validate_semimonad's first
+    # structure check names it as the whole report.
+    fun = identity_functor(CORPUS["interval"])
+    real = semimonad._collapse
+
+    def retargeted(upper, base):
+        obj_map, mor_map = real(upper, base)
+        k = next(m for m in mor_map if not upper.j.is_identity(m))
+        return obj_map, {**mor_map, k: base.j.identity[base.j.tgt[mor_map[k]]]}
+
+    monkeypatch.setattr(semimonad, "nu", nu.__wrapped__)
+    monkeypatch.setattr(semimonad, "_collapse", retargeted)
+    assert validate_semimonad(fun).violations == (
+        ("nu-functor", "src-preservation", "(\\(0\\,1_0\\),1_0,u)"),
+    )
+
+
 def _deck_swap(fun):
     """The fibre-swapping automorphism of the walking-iso coslice."""
     jp = j_object(fun)
