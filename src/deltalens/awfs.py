@@ -35,7 +35,7 @@ projection, so it is a functor and restricts to both; like Jf, Ef is
 built unchecked (`e_object`).  Each of the others has functor legs: E on
 squares (`e_square`) by the argument in `j_square`'s docstring, the
 collapse `mu` of one tower level by the one in `nu`'s, the split
-`comonad_data` as `orthogonal_lift` checks its coslice leg, and the
+`comonad_data` by the same argument for its coslice leg, and the
 extension of a coslice algebra (`r_algebra_from_jr`) through
 `validate_jr_algebra`.  As alpha is the identity on ids, a coslice leg
 into Jg already names Eg's ids, so E on squares and the split build no
@@ -71,7 +71,7 @@ from .kernel import (
     tag,
     validate_functor,
 )
-from .factorization import CommutingSquare, _square_by_construction, orthogonal_lift
+from .factorization import CommutingSquare, _square_by_construction
 from .lens import DeltaLens, LiftingTable, validate_lens
 from .semimonad import (
     JPresentation,
@@ -467,20 +467,28 @@ def free_lens(f: FinFunctor) -> DeltaLens:
 def comonad_data(f: FinFunctor) -> FinFunctor:
     """Split one tower level open: the comultiplication Ef -> E(lf of f),
     the copairing of L(lf of f) with the coslice map delta: Jf -> J(lf of
-    f), found by orthogonal lifting and read as landing in E(lf of f), as
-    alpha is the identity on ids.  It is unchecked, as delta is
-    `orthogonal_lift`'s checked output and a copairing of functors is a
-    functor (`copair`; `delta-functor` decides it).  It restricts to L(lf
-    of f) after Lf, and R(lf of f) after it is the identity, as the two
-    agree after Lf and after alpha (R . L is the functor factored and
-    R . alpha the coslice projection, `EfPresentation`).  The square delta
-    fills is not checked either: the two triangles `orthogonal_lift`
-    checks, delta . s = s' and t' . delta = alpha for the legs s' and t'
-    of J(lf of f), make it commute, as t' . s' = t' . delta . s = alpha . s."""
+    f), read by lookup as `nu`'s collapse is, and as landing in E(lf of f),
+    as alpha is the identity on ids.  delta sends (a, u) to (a, c_u), c_u
+    the coslice arrow (a, 1) -> (a, u) out of Lf(a), and the arrow v at
+    (a, u), an arrow m of Ef, to the arrow m at (a, c_u).  Unchecked, it is
+    a functor as in `j_square`, as m . c_u = c_{v.u} and coslice arrows
+    compose in Ef as in Jf (`delta-functor` decides it), and so is the
+    copairing (`copair`).  For the legs s' and t' of J(lf of f), delta . s
+    = s' as c_1 is an identity (`_glue`'s placement check), and t' . delta
+    = alpha as t' reads off (a, u) and m (`counit-left`: R(lf of f) after
+    the split is the identity, which along alpha is this equation).  The
+    split restricts to L(lf of f) after Lf, and R(lf of f) after it is the
+    identity, as the two agree after Lf and after alpha (R . L is the functor
+    factored and R . alpha the coslice projection, `EfPresentation`)."""
     ef = e_object(f)
-    el = e_object(ef.lf)
-    delta = orthogonal_lift(_square_by_construction(ef.j.s, el.j.t, el.j.s, ef.alpha))
-    return copair(ef, el.lf, FinFunctor(delta.dom, el.e, delta.obj_map, delta.mor_map))
+    el, jp = e_object(ef.lf), ef.j
+    obj_map, mor_map = {}, {}
+    for (a, u), row in jp.mor_id.items():
+        pair = (a, jp.mor_id[(a, f.cod.identity[f.obj_map[a]])][u])
+        obj_map[jp.obj_id[(a, u)]] = el.j.obj_id[pair]
+        image = el.j.mor_id[pair]
+        mor_map.update((m, image[m]) for m in row.values())
+    return copair(ef, el.lf, FinFunctor(jp.j, el.e, obj_map, mor_map))
 
 
 def validate_comonad(

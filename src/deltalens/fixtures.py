@@ -9,145 +9,43 @@ object idempotent monoid.
 
 from __future__ import annotations
 
-from .kernel import FinCat, rows_from_pairs
+from .kernel import FinCat
 
 
-def _cat(objects, morphisms, identity, compose) -> FinCat:
-    src = {m: s for m, (s, _) in morphisms.items()}
-    tgt = {m: t for m, (_, t) in morphisms.items()}
-    return FinCat(
-        objects=tuple(objects),
-        morphisms=tuple(morphisms),
-        src=src,
-        tgt=tgt,
-        identity=dict(identity),
-        after=rows_from_pairs(compose.items()),
-    )
-
-
-def terminal() -> FinCat:
-    return _cat(["*"], {"1_*": ("*", "*")}, {"*": "1_*"}, {("1_*", "1_*"): "1_*"})
-
-
-def interval() -> FinCat:
-    # the free arrow u: 0 -> 1
-    return _cat(
-        ["0", "1"],
-        {"1_0": ("0", "0"), "1_1": ("1", "1"), "u": ("0", "1")},
-        {"0": "1_0", "1": "1_1"},
-        {
-            ("1_0", "1_0"): "1_0",
-            ("1_1", "1_1"): "1_1",
-            ("u", "1_0"): "u",
-            ("1_1", "u"): "u",
-        },
-    )
-
-
-def discrete_pair() -> FinCat:
-    return _cat(
-        ["0", "1"],
-        {"1_0": ("0", "0"), "1_1": ("1", "1")},
-        {"0": "1_0", "1": "1_1"},
-        {("1_0", "1_0"): "1_0", ("1_1", "1_1"): "1_1"},
-    )
-
-
-def parallel_pair() -> FinCat:
-    return _cat(
-        ["0", "1"],
-        {
-            "1_0": ("0", "0"),
-            "1_1": ("1", "1"),
-            "s": ("0", "1"),
-            "t": ("0", "1"),
-        },
-        {"0": "1_0", "1": "1_1"},
-        {
-            ("1_0", "1_0"): "1_0",
-            ("1_1", "1_1"): "1_1",
-            ("s", "1_0"): "s",
-            ("1_1", "s"): "s",
-            ("t", "1_0"): "t",
-            ("1_1", "t"): "t",
-        },
-    )
-
-
-def walking_iso() -> FinCat:
-    # f: 0 -> 1 and g: 1 -> 0, mutually inverse
-    return _cat(
-        ["0", "1"],
-        {
-            "1_0": ("0", "0"),
-            "1_1": ("1", "1"),
-            "f": ("0", "1"),
-            "g": ("1", "0"),
-        },
-        {"0": "1_0", "1": "1_1"},
-        {
-            ("1_0", "1_0"): "1_0",
-            ("1_1", "1_1"): "1_1",
-            ("f", "1_0"): "f",
-            ("1_1", "f"): "f",
-            ("g", "1_1"): "g",
-            ("1_0", "g"): "g",
-            ("g", "f"): "1_0",
-            ("f", "g"): "1_1",
-        },
-    )
-
-
-def walking_retraction() -> FinCat:
-    # r after s is the identity; s after r is the idempotent e
-    return _cat(
-        ["0", "1"],
-        {
-            "1_0": ("0", "0"),
-            "1_1": ("1", "1"),
-            "s": ("0", "1"),
-            "r": ("1", "0"),
-            "e": ("1", "1"),
-        },
-        {"0": "1_0", "1": "1_1"},
-        {
-            ("1_0", "1_0"): "1_0",
-            ("1_1", "1_1"): "1_1",
-            ("s", "1_0"): "s",
-            ("1_1", "s"): "s",
-            ("e", "s"): "s",
-            ("r", "1_1"): "r",
-            ("1_0", "r"): "r",
-            ("r", "e"): "r",
-            ("r", "s"): "1_0",
-            ("s", "r"): "e",
-            ("e", "1_1"): "e",
-            ("1_1", "e"): "e",
-            ("e", "e"): "e",
-        },
-    )
-
-
-def idempotent_monoid() -> FinCat:
-    return _cat(
-        ["*"],
-        {"1_*": ("*", "*"), "e": ("*", "*")},
-        {"*": "1_*"},
-        {
-            ("1_*", "1_*"): "1_*",
-            ("1_*", "e"): "e",
-            ("e", "1_*"): "e",
-            ("e", "e"): "e",
-        },
-    )
+def _cat(
+    objects: tuple[str, ...], arrows: dict[str, tuple[str, str]], composites: dict[tuple[str, str], str]
+) -> FinCat:
+    """The category on `objects` with the non-identity `arrows`, id ->
+    (source, target), and the non-unit `composites`, (g, f) -> g after f.
+    Each object x gets the identity 1_x, and every composite with an
+    identity is the other arrow."""
+    identity = {x: f"1_{x}" for x in objects}
+    ends = {**{m: (x, x) for x, m in identity.items()}, **arrows}
+    after = {m: {identity[y]: m} for m, (_, y) in ends.items()}
+    for m, (x, _) in ends.items():
+        after[identity[x]][m] = m
+    for (g, f), gf in composites.items():
+        after[f][g] = gf
+    src = {m: x for m, (x, _) in ends.items()}
+    tgt = {m: y for m, (_, y) in ends.items()}
+    return FinCat(tuple(objects), tuple(ends), src, tgt, identity, after)
 
 
 CORPUS: dict[str, FinCat] = {
-    "terminal": terminal(),
-    "interval": interval(),
-    "discrete-pair": discrete_pair(),
-    "parallel-pair": parallel_pair(),
-    "walking-iso": walking_iso(),
-    "walking-retraction": walking_retraction(),
-    "idempotent-monoid": idempotent_monoid(),
+    "terminal": _cat(("*",), {}, {}),
+    # the free arrow u: 0 -> 1
+    "interval": _cat(("0", "1"), {"u": ("0", "1")}, {}),
+    "discrete-pair": _cat(("0", "1"), {}, {}),
+    "parallel-pair": _cat(("0", "1"), {"s": ("0", "1"), "t": ("0", "1")}, {}),
+    # f: 0 -> 1 and g: 1 -> 0, mutually inverse
+    "walking-iso": _cat(
+        ("0", "1"), {"f": ("0", "1"), "g": ("1", "0")}, {("g", "f"): "1_0", ("f", "g"): "1_1"}
+    ),
+    # r after s is the identity; s after r is the idempotent e
+    "walking-retraction": _cat(
+        ("0", "1"),
+        {"s": ("0", "1"), "r": ("1", "0"), "e": ("1", "1")},
+        {("r", "s"): "1_0", ("s", "r"): "e", ("e", "s"): "s", ("r", "e"): "r", ("e", "e"): "e"},
+    ),
+    "idempotent-monoid": _cat(("*",), {"e": ("*", "*")}, {("e", "e"): "e"}),
 }

@@ -279,22 +279,29 @@ def _factorises(fun: FinFunctor) -> bool:
 
 def _factorisation_cases(functors) -> list[LawCase]:
     cases = _guarded_cases("factorisation", functors, _factorises)
+    # Classes are decided once per functor, and f . g is composed only where
+    # a premise can fire: where g is initial or f a discrete opfibration.
+    classes = {name: (is_initial(fun), is_discrete_opfibration(fun)) for name, fun in functors}
     by_key: dict[tuple, list[tuple[str, FinFunctor]]] = {}
     for name, fun in functors:
         by_key.setdefault(fun.dom.key, []).append((name, fun))
     for gname, g in functors:
+        g_init, g_dof = classes[gname]
         for fname, f in by_key.get(g.cod.key, ()):
-            if not same_cat(f.dom, g.cod):
+            f_init, f_dof = classes[fname]
+            if not (g_init or f_dof) or not same_cat(f.dom, g.cod):
                 continue
             gf = compose_functors(f, g)
+            gf_init = g_init and is_initial(gf)
+            gf_dof = f_dof and is_discrete_opfibration(gf)
             checks = []
-            if is_initial(f) and is_initial(g) and not is_initial(gf):
+            if f_init and g_init and not gf_init:
                 checks.append(("initial-composition",))
-            if is_discrete_opfibration(f) and is_discrete_opfibration(g) and not is_discrete_opfibration(gf):
+            if f_dof and g_dof and not gf_dof:
                 checks.append(("opfibration-composition",))
-            if is_initial(gf) and is_initial(g) and not is_initial(f):
+            if gf_init and g_init and not f_init:
                 checks.append(("initial-cancellation",))
-            if is_discrete_opfibration(gf) and is_discrete_opfibration(f) and not is_discrete_opfibration(g):
+            if gf_dof and f_dof and not g_dof:
                 checks.append(("opfibration-cancellation",))
             if checks:
                 cases.append(LawCase("factorisation", f"{fname}.{gname}", False, tuple(checks)))

@@ -258,7 +258,7 @@ def _cyclic_distributive_law(n: int) -> dict:
 # coslice row up front gives Z/3 3,033 coslice rows and 597 glued rows, as
 # the eager J(f) of a functor into a glued category reads a base row per
 # morphism.
-_ROWS_BUILT = {3: ([297, 3033], [501, 39879]), 4: ([896, 20816], [1772, 526400])}
+_ROWS_BUILT = {3: ([267, 3033], [489, 39879]), 4: ([812, 20816], [1736, 526400])}
 
 
 @pytest.mark.parametrize("n, wall_s, peak_rss_mb", [(3, 0.5, 60), (4, None, None)])

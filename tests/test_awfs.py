@@ -301,14 +301,29 @@ def _delta(f):
 
 
 def test_comultiplication_explicit_formula(corpus_funs):
-    for name, fun in corpus_funs[:15]:
-        delta = _delta(fun)
+    # delta sends (a, u) to (a, c_u), c_u the coslice arrow (a, 1) -> (a, u)
+    # of Ef, and the arrow v at (a, u), an arrow m of Ef, to m at (a, c_u).
+    for name, fun in corpus_funs:
+        delta, B = _delta(fun), fun.cod
         for a in fun.dom.objects:
             fa = fun.obj_map[a]
-            for u in fun.cod.out(fa):
-                source = tag(a, u)
-                expected = tag(a, ef_mor_id(fun, _kind2(fun, a, fun.cod.identity[fa], u)))
-                assert delta.obj_map[source] == expected, name
+            for u in B.out(fa):
+                c_u = ef_mor_id(fun, _kind2(fun, a, B.identity[fa], u))
+                assert delta.obj_map[tag(a, u)] == tag(a, c_u), name
+                for v in B.out(B.tgt[u]):
+                    m = ef_mor_id(fun, _kind2(fun, a, u, v))
+                    assert delta.mor_map[tag(a, u, v)] == tag(a, c_u, m), name
+
+
+def test_comultiplication_coslice_leg_is_the_orthogonal_lift(corpus_funs, scope):
+    # `comonad_data` reads delta off J(lf of f) by lookup; its restriction
+    # along alpha, the identity on ids, is the diagonal the lifting solver
+    # finds, as whole maps.  The subjects hold every functor the `tower`
+    # family splits.
+    for name, f in _glued_subjects(corpus_funs, scope):
+        c, delta = comonad_data(f), _delta(f)
+        assert c.obj_map == delta.obj_map, name
+        assert {m: c.mor_map[m] for m in delta.dom.morphisms} == delta.mor_map, name
 
 
 def test_comonad_laws_on_sample(corpus_funs):

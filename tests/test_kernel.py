@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -68,6 +69,16 @@ def test_tag_matches_a_char_by_char_escaper(parts):
 def test_fixture_tables_are_lawful():
     for name, c in CORPUS.items():
         assert validate_category(c).ok, name
+
+
+def test_fixture_tables_are_pinned():
+    # The fixtures state only their non-identity arrows and non-unit
+    # composites; one digest over the names and keys keeps every table.
+    keys = repr([(name, tuple(c.key)) for name, c in sorted(CORPUS.items())])
+    assert len(CORPUS) == 7
+    assert hashlib.sha256(keys.encode()).hexdigest() == (
+        "e373468f2d418b8537e5988eae6874826d61952bd65856ed9d54c3ecb7a877f7"
+    )
 
 
 def test_out_into_hom_partition_morphisms():

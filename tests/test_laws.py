@@ -7,6 +7,7 @@ from deltalens.kernel import (
     InputError,
     InternalInvariantError,
     ValidationReport,
+    compose_functors,
     identity_functor,
 )
 from deltalens.laws import (
@@ -156,6 +157,33 @@ def test_each_family_fails_only_the_case_that_raised(monkeypatch, family, valida
     result = run_laws(scope, families=(family,))
     assert len(result.cases) > 1
     assert [c.witness for c in result.failures] == [(("error", "InternalInvariantError: injected"),)]
+
+
+@pytest.mark.parametrize(
+    "law, predicate, fname, gname",
+    [
+        ("initial-composition", "is_initial", "interval->interval#1", "interval->interval#1"),
+        ("opfibration-composition", "is_discrete_opfibration",
+         "walking-retraction->walking-retraction#1", "walking-retraction->walking-retraction#1"),
+        ("initial-cancellation", "is_initial", "interval->parallel-pair#1", "interval->interval#1"),
+        ("opfibration-cancellation", "is_discrete_opfibration",
+         "interval->interval#1", "discrete-pair->interval#0"),
+    ],
+)
+def test_factorisation_family_fails_the_pair_whose_composite_is_misreported(
+    monkeypatch, corpus_funs, law, predicate, fname, gname
+):
+    # The family decides each corpus functor's classes once, and a
+    # composite's where a premise can fire.  The predicate misreports the
+    # composite f . g, a fresh object equal to no other composite it is
+    # asked about, and leaves every corpus functor alone.
+    named = dict(corpus_funs)
+    key = compose_functors(named[fname], named[gname]).key
+    corpus = {id(fun) for _, fun in corpus_funs}
+    real = getattr(laws, predicate)
+    monkeypatch.setattr(laws, predicate, lambda fun: real(fun) != (fun.key == key and id(fun) not in corpus))
+    failures = [(c.subject, c.witness) for c in laws._factorisation_cases(corpus_funs) if not c.ok]
+    assert failures == [(f"{fname}.{gname}", ((law,),))]
 
 
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
